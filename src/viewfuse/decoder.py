@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .ifa import BevGridSpec, _ring_bias
+from .ifa import BevGridSpec, _ring_bias, deformable_attention
 from .scene import GtBox
 from .tensor import (
     Mlp,
     Tensor,
     as_tensor,
-    bilinear_sample,
     concat,
     focal_loss,
     l1_loss,
@@ -168,7 +167,6 @@ class DecoderLayer:
     def __init__(self, c: int, n_da: int, rng: np.random.Generator,
                  name: str):
         self.c = c
-        self.n_da = n_da
         self.name = name
         std = 1.0 / math.sqrt(c)
         self.wq = Tensor(rng.normal(0.0, std, (c, c)), requires_grad=True)
@@ -263,14 +261,8 @@ class DetrDecoder:
             q = q + (att @ vv) @ layer.wo + layer.bo
 
             x = layer_norm(q, layer.lnc_g, layer.lnc_b)
-            raw = layer.off_mlp(x)
-            off = raw[:, : 2 * layer.n_da].reshape(n_q, layer.n_da, 2)
-            wts = softmax(raw[:, 2 * layer.n_da:], axis=-1)
-            cells = ref * cell_scale + cell_shift
-            pts = (off + cells.reshape(n_q, 1, 2)).reshape(
-                n_q * layer.n_da, 2)
-            samp = bilinear_sample(fbev, pts).reshape(n_q, layer.n_da, self.c)
-            q = q + (samp * wts.reshape(n_q, layer.n_da, 1)).sum(axis=1)
+            q = q + deformable_attention(layer.off_mlp, x, fbev,
+                                         ref * cell_scale + cell_shift)
 
             x = layer_norm(q, layer.lnf_g, layer.lnf_b)
             q = q + layer.ffn(x)

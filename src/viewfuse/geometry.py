@@ -85,16 +85,6 @@ def apply_pose(p: Pose, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def pose_matrix(p: Pose) -> np.ndarray:
-    """Homogeneous 4x4 for oracle checks."""
-    c, s = math.cos(p.yaw), math.sin(p.yaw)
-    m = np.eye(4)
-    m[0, 0], m[0, 1] = c, -s
-    m[1, 0], m[1, 1] = s, c
-    m[:3, 3] = [p.x, p.y, p.z]
-    return m
-
-
 def apply_pose_noise(p: Pose, sigma_xy: float, sigma_yaw: float,
                      rng: np.random.Generator) -> Pose:
     """Gaussian position/heading perturbation. Draw order is fixed (x, y, yaw)."""

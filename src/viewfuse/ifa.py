@@ -10,7 +10,7 @@ through untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .tensor import (
     Tensor,
     as_tensor,
     bilinear_sample,
+    concat,
     layer_norm,
-    scatter_rows,
     softmax,
+    take_rows,
 )
 
 
@@ -137,115 +138,122 @@ class IfaBlock:
         out[f"{self.name}.ln2_b"] = self.ln2_b
         return out
 
-    def offsets_and_weights(self, queries: Tensor):
-        """[N, C] queries -> offsets [N, n_da, 2] (cells), weights [N, n_da]."""
-        raw = self.off_mlp(queries)
-        n = queries.shape[0]
-        off = raw[:, : 2 * self.n_da].reshape(n, self.n_da, 2)
-        wts = softmax(raw[:, 2 * self.n_da:], axis=-1)
-        return off, wts
 
+def deformable_attention(off_mlp: Mlp, queries: Tensor, fmaps: Tensor,
+                         base, rows=None, view=None) -> Tensor:
+    """Softmax-weighted bilinear samples around base points, one per row.
 
-def _view_features(view) -> Tensor:
-    return as_tensor(view.features if hasattr(view, "features") else view)
-
-
-def deformable_sample(block: IfaBlock, query_vec: Tensor, view,
-                      p: tuple[float, float]) -> Tensor:
-    """Weighted bilinear samples of one view around one projected point.
-
-    Off-map sampling positions fade to zero under the padding rule of
-    bilinear_sample; the result stays differentiable in the query (through
-    offsets and weights) and in the view features.
+    ``off_mlp`` maps each query to n_da (du, dv) offsets in cells and n_da
+    weight logits. Row i samples ``fmaps`` at ``base[i]`` plus the offsets
+    of query ``rows[i]`` (default: query i); ``view`` names the map of each
+    row when ``fmaps`` is a stack, as in ``bilinear_sample``.
     """
-    fmap = _view_features(view)
-    q = as_tensor(query_vec).reshape(1, block.c)
-    off, wts = block.offsets_and_weights(q)
-    base = np.asarray(p, dtype=np.float64)[None, None, :]
-    pts = (off + base).reshape(block.n_da, 2)
-    samp = bilinear_sample(fmap, pts)                      # [n_da, C]
-    return (samp * wts.reshape(block.n_da, 1)).sum(axis=0)
+    n_da = off_mlp.widths[-1] // 3
+    raw = off_mlp(queries)
+    off = raw[:, : 2 * n_da].reshape(queries.shape[0], n_da, 2)
+    wts = softmax(raw[:, 2 * n_da:], axis=-1)
+    if rows is not None:
+        off, wts = take_rows(off, rows), take_rows(wts, rows)
+    m = base.shape[0]
+    pts = (off + base.reshape(m, 1, 2)).reshape(m * n_da, 2)
+    samp = bilinear_sample(fmaps, pts,
+                           None if view is None else np.repeat(view, n_da))
+    return (samp.reshape(m, n_da, -1) * wts.reshape(m, n_da, 1)).sum(axis=1)
 
 
-def aggregate_reference_point(f_per_view: list[Tensor], flags) -> Tensor | None:
-    """Mean over the observing views; None marks a point nobody sees."""
-    flags = [bool(f) for f in flags]
-    if len(flags) != len(f_per_view):
-        raise ValueError("one flag per view required")
-    chosen = [f for f, ok in zip(f_per_view, flags) if ok]
-    if not chosen:
-        return None
-    total = chosen[0]
-    for f in chosen[1:]:
-        total = total + f
-    return total * (1.0 / len(chosen))
+@dataclass
+class Sightings:
+    """Every (height, view, cell) triple where a view observes a reference point.
+
+    Triples are sorted by height, then view in (agent, view) order, then
+    cell. They depend only on the views and the lattice, so a cascade finds
+    them once for all of its blocks.
+    """
+    maps: Tensor | None       # [V, C, fh, fw] the views that observe anything
+    uv: np.ndarray            # [M, 2] feature coords of each triple
+    height: np.ndarray        # [M]
+    view: np.ndarray          # [M] index into maps
+    cell: np.ndarray          # [M]
+    v_inv: np.ndarray         # [n_ref, H*W] 1 / observing views, 0 if none
+    h_inv: np.ndarray         # [H*W] 1 / observed heights, 0 if none
 
 
-def _observation_flags(view: BevView, uv: np.ndarray,
-                       ok: np.ndarray) -> np.ndarray:
-    """Geometric validity refined by the view's content mask."""
-    if view.mask is None:
-        return ok
-    fh, fw = view.mask.shape
-    cols = np.clip(np.rint(uv[:, 0]).astype(np.intp), 0, fw - 1)
-    rows = np.clip(np.rint(uv[:, 1]).astype(np.intp), 0, fh - 1)
-    return ok & view.mask[rows, cols]
+def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
+    """Project the reference points into every valid view.
+
+    A point counts as observed where it projects inside the view and, for a
+    masked view, onto a masked-in cell (see ``BevView``).
+    """
+    refs = spec.reference_points()
+    seen = []
+    for view in sorted((v for v in views if v.valid),
+                       key=lambda v: (v.agent_id, v.view_id)):
+        uv, _, ok = project_points(refs, view.cam, view.agent_pose_in_ego)
+        if view.mask is not None:
+            fh, fw = view.mask.shape
+            cols = np.clip(np.rint(uv[..., 0]).astype(np.intp), 0, fw - 1)
+            rows = np.clip(np.rint(uv[..., 1]).astype(np.intp), 0, fh - 1)
+            ok = ok & view.mask[rows, cols]
+        if ok.any():
+            seen.append((as_tensor(view.features), uv, ok))
+    obs = np.zeros((spec.n_ref, len(seen), refs.shape[1]), dtype=bool)
+    uv = np.zeros(obs.shape + (2,))
+    for k, (_, uv_k, ok) in enumerate(seen):
+        obs[:, k], uv[:, k] = ok, uv_k
+    height, view, cell = np.nonzero(obs)
+    v_cnt = obs.sum(axis=1)
+    h_cnt = (v_cnt > 0).sum(axis=0)
+    maps = concat([f.reshape((1,) + f.shape) for f, _, _ in seen]) \
+        if seen else None
+    return Sightings(maps=maps, uv=uv[height, view, cell], height=height,
+                     view=view, cell=cell,
+                     v_inv=np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0),
+                     h_inv=np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0))
+
+
+def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
+    """[H*W, C] mean over heights of the mean over views, from [M, C] triples.
+
+    Views add up in sorted order per height, then heights in order, so the
+    mean is bit-stable under view permutations; the VJP scales each
+    triple's gradient by 1 / (views at its height x heights of its cell).
+    """
+    n_ref, hw = s.v_inv.shape
+    dense = np.zeros((n_ref, s.maps.shape[0], hw, f.shape[1]))
+    dense[s.height, s.view, s.cell] = f.data
+    v_sum = dense[:, 0]
+    for k in range(1, dense.shape[1]):
+        v_sum = v_sum + dense[:, k]
+    part = v_sum * s.v_inv[..., None]
+    h_sum = part[0]
+    for h in range(1, n_ref):
+        h_sum = h_sum + part[h]
+    coef = (s.v_inv[s.height, s.cell] * s.h_inv[s.cell])[:, None]
+    return Tensor._make(h_sum * s.h_inv[:, None], (f,),
+                        lambda g: (g[s.cell] * coef,))
 
 
 def ifa_block_forward(block: IfaBlock, state: BevState,
                       views: list[BevView],
-                      lattice: BevGridSpec | None = None) -> BevState:
+                      lattice: BevGridSpec | None = None,
+                      sight: Sightings | None = None) -> BevState:
     """Advance the BEV state through one aggregation block.
 
-    Views are visited in sorted (agent, view) order so the mean is
-    bit-stable under permutations of the input list. Per cell, heights
-    observed by no view are skipped and cells observed at no height keep
-    their query value through the residual path.
+    All observed (height, view, cell) triples are sampled in one call and
+    averaged per cell over views, then heights (see ``_view_height_mean``).
+    Cells observed at no height keep their query value through the residual
+    path. ``sight`` is ``observe(views, lattice)``, found here when not given.
     """
     spec = lattice if lattice is not None else state.spec
+    sight = sight if sight is not None else observe(views, spec)
     c, gh, gw = state.q.shape
-    hw = gh * gw
-    qf = state.q.reshape(c, hw).transpose()                # [HW, C]
-    nq = layer_norm(qf, block.ln1_g, block.ln1_b)
-    off, wts = block.offsets_and_weights(nq)
-    refs = spec.reference_points()
-
-    active = sorted((v for v in views if v.valid),
-                    key=lambda v: (v.agent_id, v.view_id))
-    h_sum = None
-    h_cnt = np.zeros(hw)
-    for h in range(spec.n_ref):
-        v_sum = None
-        v_cnt = np.zeros(hw)
-        for view in active:
-            uv, _, ok = project_points(refs[h], view.cam,
-                                       view.agent_pose_in_ego)
-            obs = _observation_flags(view, uv, ok)
-            idx = np.nonzero(obs)[0]
-            if idx.size == 0:
-                continue
-            m = idx.size
-            base = uv[idx][:, None, :]                     # [M, 1, 2]
-            pts = (off[idx] + base).reshape(m * block.n_da, 2)
-            samp = bilinear_sample(view.features, pts)
-            samp = samp.reshape(m, block.n_da, c)
-            f = (samp * wts[idx].reshape(m, block.n_da, 1)).sum(axis=1)
-            part = scatter_rows(f, idx, hw)
-            v_sum = part if v_sum is None else v_sum + part
-            v_cnt[idx] += 1
-        if v_sum is None:
-            continue
-        seen = v_cnt > 0
-        v_inv = np.where(seen, 1.0 / np.maximum(v_cnt, 1), 0.0)
-        h_sum_part = v_sum * v_inv[:, None]
-        h_sum = h_sum_part if h_sum is None else h_sum + h_sum_part
-        h_cnt += seen
-
-    if h_sum is not None:
-        h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
-        q1 = qf + h_sum * h_inv[:, None]
-    else:
-        q1 = qf
+    qf = state.q.reshape(c, gh * gw).transpose()           # [HW, C]
+    q1 = qf
+    if sight.maps is not None:
+        nq = layer_norm(qf, block.ln1_g, block.ln1_b)
+        f = deformable_attention(block.off_mlp, nq, sight.maps, sight.uv,
+                                 rows=sight.cell, view=sight.view)
+        q1 = qf + _view_height_mean(f, sight)
     q2 = q1 + block.ffn(layer_norm(q1, block.ln2_g, block.ln2_b))
     return BevState(q2.transpose().reshape(c, gh, gw), spec)
 
@@ -256,6 +264,7 @@ def ifa_cascade(state0: BevState, views: list[BevView],
     if not blocks:
         raise ValueError("cascade needs at least one block")
     state = state0
+    sight = observe(views, lattice)
     for block in blocks:
-        state = ifa_block_forward(block, state, views, lattice)
+        state = ifa_block_forward(block, state, views, lattice, sight)
     return state.q

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 class ShapeError(ValueError):
@@ -334,22 +335,12 @@ def take_rows(x: Tensor, idx) -> Tensor:
     out_data = np.take(a.data, idx, axis=0)
 
     def vjp(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return (z,)
+        # row-order sums, as np.add.at would make them
+        pick = csr_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                          shape=(idx.size, a.shape[0]))
+        return ((pick.T @ g.reshape(idx.size, -1)).reshape(a.shape),)
 
     return Tensor._make(out_data, (a,), vjp)
-
-
-def scatter_rows(x: Tensor, idx, n_rows: int) -> Tensor:
-    """Scatter-add rows of ``x`` into a zero tensor with ``n_rows`` rows."""
-    idx = np.asarray(idx, dtype=np.intp)
-    a = as_tensor(x)
-    if idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"scatter_rows: {idx.shape[0]} indices for {a.shape[0]} rows")
-    out_data = np.zeros((n_rows,) + a.shape[1:])
-    np.add.at(out_data, idx, a.data)
-    return Tensor._make(out_data, (a,), lambda g: (g[idx],))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -385,67 +376,65 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return y * gamma + beta
 
 
-def bilinear_sample(fmap: Tensor, pts) -> Tensor:
-    """Bilinearly sample ``fmap`` ([C, H, W]) at points ``pts`` ([N, 2] of (u, v)).
+def bilinear_sample(fmap: Tensor, pts, view=None) -> Tensor:
+    """Bilinearly sample ``fmap`` at points ``pts`` ([N, 2] of (u, v)).
 
+    ``fmap`` is one map [C, H, W], or a stack of same-sized maps
+    [V, C, H, W] with ``view`` ([N] ints) naming the map of each point.
     u indexes the W axis, v the H axis; values live at integer lattice points.
-    Out-of-lattice neighbors contribute zero, so samples fade linearly to zero
-    across the one-cell band outside [0, W-1] x [0, H-1] and are exactly zero
-    beyond it. Differentiable in both the map and the points.
+    A corner outside its own map's lattice contributes zero, so samples fade
+    linearly to zero across the one-cell band outside [0, W-1] x [0, H-1],
+    are exactly zero beyond it and never bleed into a neighbouring map.
+    One sparse interpolation matrix and its u and v derivatives give the
+    forward and the VJPs in the map and points; each row sums its corners in
+    the fixed order 00, 10, 01, 11 (u offset, then v offset).
     """
     fmap = as_tensor(fmap)
-    if fmap.ndim != 3:
-        raise ShapeError(f"bilinear_sample expects [C, H, W] map, got {fmap.shape}")
+    if fmap.ndim not in (3, 4) or (fmap.ndim == 4) != (view is not None):
+        raise ShapeError(f"bilinear_sample expects a [C, H, W] map, or a "
+                         f"[V, C, H, W] stack with view indices; got {fmap.shape}")
     pts_t = pts if isinstance(pts, Tensor) else None
     p = pts.data if isinstance(pts, Tensor) else _arr(pts)
     if p.ndim != 2 or p.shape[1] != 2:
         raise ShapeError(f"bilinear_sample expects [N, 2] points, got {p.shape}")
-    c, h, w = fmap.shape
-    flat = fmap.data.reshape(c, h * w).T  # [H*W, C]
+    n_v, c, h, w = fmap.shape if view is not None else (1,) + fmap.shape
+    view = np.zeros(p.shape[0], np.intp) if view is None else np.asarray(view)
+    if view.shape != (p.shape[0],) or np.any((view < 0) | (view >= n_v)):
+        raise ShapeError(f"bilinear_sample needs one view in [0, {n_v}) per point")
+    flat = fmap.data.reshape(n_v, c, h * w).transpose(0, 2, 1).reshape(-1, c)
 
-    u = p[:, 0]
-    v = p[:, 1]
-    u0 = np.floor(u).astype(np.intp)
-    v0 = np.floor(v).astype(np.intp)
-    fu = u - u0
-    fv = v - v0
+    u0 = np.floor(p[:, 0]).astype(np.intp)
+    v0 = np.floor(p[:, 1]).astype(np.intp)
+    fu = (p[:, 0] - u0)[:, None]
+    fv = (p[:, 1] - v0)[:, None]
+    ui = u0[:, None] + np.array([0, 1, 0, 1])
+    vi = v0[:, None] + np.array([0, 0, 1, 1])
+    ok = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+    cols = np.where(ok, (view[:, None] * h + vi) * w + ui, 0).ravel()
+    rows = np.arange(0, cols.size + 1, 4)
 
-    corners = []
-    for dv, du, wgt in (
-        (0, 0, (1 - fu) * (1 - fv)),
-        (0, 1, fu * (1 - fv)),
-        (1, 0, (1 - fu) * fv),
-        (1, 1, fu * fv),
-    ):
-        ui = u0 + du
-        vi = v0 + dv
-        ok = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-        lin = np.where(ok, vi * w + ui, 0)
-        val = flat[lin] * ok[:, None]  # [N, C]
-        corners.append((lin, ok, wgt, val))
+    def interp(wgt):
+        return csr_matrix(((wgt * ok).ravel(), cols, rows),
+                          shape=(p.shape[0], flat.shape[0]))
 
-    out_data = np.zeros((p.shape[0], c))
-    for _, _, wgt, val in corners:
-        out_data += wgt[:, None] * val
-
+    a = interp(np.hstack([(1 - fu) * (1 - fv), fu * (1 - fv),
+                          (1 - fu) * fv, fu * fv]))
     parents = (fmap,) if pts_t is None else (fmap, pts_t)
 
     def vjp(g):
         gmap = None
         if fmap.requires_grad:
-            gflat = np.zeros_like(flat)
-            for lin, ok, wgt, _ in corners:
-                np.add.at(gflat, lin[ok], (wgt[:, None] * g)[ok])
-            gmap = gflat.T.reshape(c, h, w)
+            gmap = (a.T @ g).reshape(n_v, h * w, c).transpose(0, 2, 1)
+            gmap = gmap.reshape(fmap.shape)
         if pts_t is None:
             return (gmap,)
-        (_, _, _, v00), (_, _, _, v10), (_, _, _, v01), (_, _, _, v11) = corners
-        du_val = (1 - fv)[:, None] * (v10 - v00) + fv[:, None] * (v11 - v01)
-        dv_val = (1 - fu)[:, None] * (v01 - v00) + fu[:, None] * (v11 - v10)
-        gp = np.stack([(g * du_val).sum(axis=1), (g * dv_val).sum(axis=1)], axis=1)
+        du = interp(np.hstack([fv - 1, 1 - fv, -fv, fv]))
+        dv = interp(np.hstack([fu - 1, -fu, 1 - fu, fu]))
+        gp = np.stack([((du @ flat) * g).sum(axis=1),
+                       ((dv @ flat) * g).sum(axis=1)], axis=1)
         return (gmap, gp)
 
-    return Tensor._make(out_data, parents, vjp)
+    return Tensor._make(a @ flat, parents, vjp)
 
 
 BACKGROUND = -1
@@ -597,7 +586,3 @@ class Adam:
         for name in sorted(self.params):
             self.m[name] = _arr(arrays[f"adam.m.{name}"]).reshape(self.m[name].shape).copy()
             self.v[name] = _arr(arrays[f"adam.v.{name}"]).reshape(self.v[name].shape).copy()
-
-
-def adam_step(opt: Adam) -> None:
-    opt.step()

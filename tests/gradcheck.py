@@ -128,8 +128,6 @@ def op_gradient_cases(rng: np.random.Generator):
     yield "concat", lambda a, b: (T.concat([a, b], axis=0) * Tensor(w54)).sum(), \
         [u((2, 4)), u((3, 4))]
     yield "take_rows", lambda a: (T.take_rows(a, [2, 0, 2, 1]) * Tensor(w44)).sum(), [u((3, 4))]
-    yield "scatter_rows", lambda a: (T.scatter_rows(a, [4, 1, 1], 6) * Tensor(w64)).sum(), \
-        [u((3, 4))]
     yield "softmax", lambda a: (T.softmax(a, axis=-1) * Tensor(wa)).sum(), [u((3, 4), -3.0, 3.0)]
     yield "layer_norm", lambda a, g, b: (T.layer_norm(a, g, b) * Tensor(wa)).sum(), \
         [u((3, 4)), u((4,), 0.5, 1.5), u((4,), -0.5, 0.5)]
@@ -147,6 +145,18 @@ def op_gradient_cases(rng: np.random.Generator):
                                      Tensor(wpt)).sum(), [pts]
     yield "bilinear_both", lambda m, p: (T.bilinear_sample(m, p) * Tensor(wpt)).sum(), \
         [fmap, pts]
+
+    # a stack of two 4-channel 3x5 maps; points reach into the one-cell band
+    # past the last row and column, where the neighbouring map must not leak
+    maps = rng.normal(0.0, 1.0, (2, 4, 3, 5))
+    spts = fractional_points(rng, 6, 6, 4)
+    sview = np.array([0, 1, 1, 0, 1, 0])
+    yield "bilinear_stack_map", lambda m: (T.bilinear_sample(m, spts, sview) *
+                                           Tensor(w64)).sum(), [maps]
+    yield "bilinear_stack_pts", lambda p: (T.bilinear_sample(Tensor(maps), p, sview) *
+                                           Tensor(w64)).sum(), [spts]
+    yield "bilinear_stack_both", lambda m, p: (T.bilinear_sample(m, p, sview) *
+                                               Tensor(w64)).sum(), [maps, spts]
 
 
 def run_op_gradient_suite(n_seeds: int, tol: float = 1e-5) -> int:

@@ -1,0 +1,145 @@
+"""Reference implementations of BEV aggregation, kept as test oracles.
+
+``reference_block_forward`` is the straightforward per-(height, view) loop:
+one bilinear gather per view and height, a scatter back onto the grid, then
+the running view and height means. The library's ``ifa_block_forward``
+batches all of that into one sampling call and must reproduce this loop bit
+for bit. ``deformable_sample`` and ``aggregate_reference_point`` state the
+sampling and averaging formulas for a single point.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from viewfuse.geometry import project_points
+from viewfuse.ifa import BevState
+from viewfuse.tensor import (Tensor, as_tensor, bilinear_sample, layer_norm,
+                             softmax)
+
+
+def offsets_and_weights(block, queries: Tensor):
+    """[N, C] queries -> offsets [N, n_da, 2] (cells), weights [N, n_da]."""
+    raw = block.off_mlp(queries)
+    n = queries.shape[0]
+    off = raw[:, : 2 * block.n_da].reshape(n, block.n_da, 2)
+    wts = softmax(raw[:, 2 * block.n_da:], axis=-1)
+    return off, wts
+
+
+def deformable_sample(block, query_vec: Tensor, view,
+                      p: tuple[float, float]) -> Tensor:
+    """Weighted bilinear samples of one view around one projected point.
+
+    Off-map sampling positions fade to zero under the padding rule of
+    bilinear_sample; the result stays differentiable in the query (through
+    offsets and weights) and in the view features.
+    """
+    fmap = as_tensor(view.features if hasattr(view, "features") else view)
+    q = as_tensor(query_vec).reshape(1, block.c)
+    off, wts = offsets_and_weights(block, q)
+    base = np.asarray(p, dtype=np.float64)[None, None, :]
+    pts = (off + base).reshape(block.n_da, 2)
+    samp = bilinear_sample(fmap, pts)                      # [n_da, C]
+    return (samp * wts.reshape(block.n_da, 1)).sum(axis=0)
+
+
+def aggregate_reference_point(f_per_view: list[Tensor], flags) -> Tensor | None:
+    """Mean over the observing views; None marks a point nobody sees."""
+    flags = [bool(f) for f in flags]
+    if len(flags) != len(f_per_view):
+        raise ValueError("one flag per view required")
+    chosen = [f for f, ok in zip(f_per_view, flags) if ok]
+    if not chosen:
+        return None
+    total = chosen[0]
+    for f in chosen[1:]:
+        total = total + f
+    return total * (1.0 / len(chosen))
+
+
+def reference_bilinear_sample(fmap: Tensor, pts: Tensor) -> Tensor:
+    """Single-map bilinear sampling by four corner gathers and np.add.at."""
+    c, h, w = fmap.shape
+    p = pts.data
+    flat = fmap.data.reshape(c, h * w).T
+    u0 = np.floor(p[:, 0]).astype(np.intp)
+    v0 = np.floor(p[:, 1]).astype(np.intp)
+    fu = p[:, 0] - u0
+    fv = p[:, 1] - v0
+    corners = []
+    for dv, du, wgt in ((0, 0, (1 - fu) * (1 - fv)), (0, 1, fu * (1 - fv)),
+                        (1, 0, (1 - fu) * fv), (1, 1, fu * fv)):
+        ui, vi = u0 + du, v0 + dv
+        ok = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+        lin = np.where(ok, vi * w + ui, 0)
+        corners.append((lin, ok, wgt, flat[lin] * ok[:, None]))
+    out = np.zeros((p.shape[0], c))
+    for _, _, wgt, val in corners:
+        out += wgt[:, None] * val
+
+    def vjp(g):
+        gflat = np.zeros_like(flat)
+        for lin, ok, wgt, _ in corners:
+            np.add.at(gflat, lin[ok], (wgt[:, None] * g)[ok])
+        (_, _, _, v00), (_, _, _, v10), (_, _, _, v01), (_, _, _, v11) = corners
+        du_val = (1 - fv)[:, None] * (v10 - v00) + fv[:, None] * (v11 - v01)
+        dv_val = (1 - fu)[:, None] * (v01 - v00) + fu[:, None] * (v11 - v10)
+        gp = np.stack([(g * du_val).sum(axis=1), (g * dv_val).sum(axis=1)], 1)
+        return gflat.T.reshape(c, h, w), gp
+
+    return Tensor._make(out, (fmap, pts), vjp)
+
+
+def _scatter_rows(x: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
+    out = np.zeros((n_rows,) + x.shape[1:])
+    np.add.at(out, idx, x.data)
+    return Tensor._make(out, (x,), lambda g: (g[idx],))
+
+
+def reference_block_forward(block, state: BevState, views, spec) -> BevState:
+    """One aggregation block, one sampling call per (height, view)."""
+    c, gh, gw = state.q.shape
+    hw = gh * gw
+    qf = state.q.reshape(c, hw).transpose()
+    nq = layer_norm(qf, block.ln1_g, block.ln1_b)
+    off, wts = offsets_and_weights(block, nq)
+    refs = spec.reference_points()
+    active = sorted((v for v in views if v.valid),
+                    key=lambda v: (v.agent_id, v.view_id))
+    h_sum = None
+    h_cnt = np.zeros(hw)
+    for h in range(spec.n_ref):
+        v_sum = None
+        v_cnt = np.zeros(hw)
+        for view in active:
+            uv, _, obs = project_points(refs[h], view.cam,
+                                        view.agent_pose_in_ego)
+            if view.mask is not None:
+                fh, fw = view.mask.shape
+                cols = np.clip(np.rint(uv[:, 0]).astype(np.intp), 0, fw - 1)
+                rows = np.clip(np.rint(uv[:, 1]).astype(np.intp), 0, fh - 1)
+                obs = obs & view.mask[rows, cols]
+            idx = np.nonzero(obs)[0]
+            if idx.size == 0:
+                continue
+            m = idx.size
+            pts = (off[idx] + uv[idx][:, None, :]).reshape(m * block.n_da, 2)
+            samp = reference_bilinear_sample(as_tensor(view.features), pts)
+            samp = samp.reshape(m, block.n_da, c)
+            f = (samp * wts[idx].reshape(m, block.n_da, 1)).sum(axis=1)
+            part = _scatter_rows(f, idx, hw)
+            v_sum = part if v_sum is None else v_sum + part
+            v_cnt[idx] += 1
+        if v_sum is None:
+            continue
+        seen = v_cnt > 0
+        v_inv = np.where(seen, 1.0 / np.maximum(v_cnt, 1), 0.0)
+        part = v_sum * v_inv[:, None]
+        h_sum = part if h_sum is None else h_sum + part
+        h_cnt += seen
+    q1 = qf
+    if h_sum is not None:
+        h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
+        q1 = qf + h_sum * h_inv[:, None]
+    q2 = q1 + block.ffn(layer_norm(q1, block.ln2_g, block.ln2_b))
+    return BevState(q2.transpose().reshape(c, gh, gw), spec)

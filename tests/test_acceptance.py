@@ -20,6 +20,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from gradcheck import check_scalar_fn, fractional_points, run_op_gradient_suite
+from ifa_reference import aggregate_reference_point
 
 from viewfuse import comms
 from viewfuse import tensor as T
@@ -33,7 +34,7 @@ from viewfuse.eval import (average_precision, rotated_iou_bev,
                            sweep)
 from viewfuse.geometry import CameraModel, Pose, project_points
 from viewfuse.ifa import (BevGridSpec, BevState, BevView, IfaBlock,
-                          aggregate_reference_point, ifa_cascade)
+                          ifa_cascade)
 from viewfuse.model import (FLAGS_FULL, PipelineModel, load_checkpoint,
                             model_forward, save_checkpoint, train_step)
 from viewfuse.scene import GtBox, Scene, generate_scene
@@ -233,7 +234,7 @@ def _set_loss_case(rng):
 
 
 def _deformable_case(rng):
-    from viewfuse.ifa import deformable_sample
+    from ifa_reference import deformable_sample
     block = IfaBlock(c=3, n_da=2, rng=rng)
     block.off_mlp.weights[-1].data[:] = rng.normal(
         0.0, 0.05, block.off_mlp.weights[-1].shape)

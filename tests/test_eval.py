@@ -1,6 +1,8 @@
 """Metrics, baselines and sweep harness."""
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,18 @@ def test_report_structure_and_determinism(rig):
     assert r1.comm_log2 == pytest.approx(math.log2(r1.total_bytes))
     assert r1.ap[0.7] <= r1.ap[0.5] + 1e-12
     assert r1.ap[0.5] <= r1.ap[0.3] + 1e-12
+
+
+def test_scene_record_keys_match_formats_doc(rig):
+    model, scenes = rig
+    rec, = run_fusion(model, scenes[:1]).per_scene
+    assert set(rec) == {"record", "scene", "n_gt", "n_detections", "bytes",
+                        "detections"}
+    assert rec["scene"] == scenes[0].seed
+    assert rec["n_detections"] == len(rec["detections"])
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    example = doc[doc.index('{"record": "scene"'):doc.index('{"record": "summary"')]
+    assert set(re.findall(r'"(\w+)":', example)) == set(rec)
 
 
 def test_no_collab_sends_nothing(rig):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from gradcheck import check_scalar_fn
-from viewfuse.geometry import CameraModel, Pose, project_points
+from ifa_reference import (aggregate_reference_point, deformable_sample,
+                           reference_block_forward)
+from viewfuse.geometry import (CameraModel, Pose, apply_pose_noise,
+                               project_points, relative_pose)
 from viewfuse.ifa import (
     BevGridSpec,
     BevState,
     BevView,
     IfaBlock,
-    aggregate_reference_point,
-    deformable_sample,
     ifa_block_forward,
     ifa_cascade,
 )
@@ -305,6 +306,66 @@ def test_full_block_gradients_against_finite_differences():
 
     inputs = [q0, f0] + [block.params()[n].data.copy() for n in names]
     check_scalar_fn(build, inputs, tol=1e-4)
+
+
+def _two_agent_views(rng, c):
+    """Four ego views and four masked, pose-noised collaborator views.
+
+    The last collaborator view is masked to nothing, so it observes no cell.
+    """
+    cfg = SceneConfig()
+    cams = make_ring_rig(cfg, Pose()).cams
+    believed = apply_pose_noise(Pose(x=7.0, y=-3.0, yaw=2.4), 0.2, 0.05, rng)
+    in_ego = relative_pose(Pose(), believed)
+    views = []
+    for agent, pose in ((0, Pose()), (1, in_ego)):
+        for k, cam in enumerate(cams):
+            mask = None
+            if agent == 1:
+                mask = rng.random((cfg.feat_h, cfg.feat_w)) < 0.4
+                if k == len(cams) - 1:
+                    mask[:] = False
+            feats = Tensor(rng.normal(size=(c, cfg.feat_h, cfg.feat_w)),
+                           requires_grad=True)
+            views.append(_view(feats, agent_id=agent, view_id=k, cam=cam,
+                               pose=pose, mask=mask))
+    return views
+
+
+def test_block_bit_identical_to_per_view_reference():
+    rng = np.random.default_rng(12)
+    c = 6
+    spec = BevGridSpec()
+    block = IfaBlock(c=c, n_da=4, rng=rng)
+    # non-zero heads so offsets, weights and the FFN depend on the query
+    for t in block.params().values():
+        t.data[:] += rng.normal(0.0, 0.3, t.shape)
+    views = _two_agent_views(rng, c)
+    q0 = rng.normal(size=(c, spec.grid_h, spec.grid_w))
+    w_out = rng.normal(size=q0.shape)
+    leaves = list(block.params().values()) + [v.features for v in views]
+
+    def run(forward, order):
+        q = Tensor(q0, requires_grad=True)
+        for t in leaves:
+            t.zero_grad()
+        out = forward(block, BevState(q, spec), [views[i] for i in order],
+                      spec).q
+        (out * Tensor(w_out)).sum().backward()
+        grads = [q.grad] + [t.grad for t in leaves]
+        return out.data, grads
+
+    got, got_g = run(ifa_block_forward, rng.permutation(len(views)))
+    want, want_g = run(reference_block_forward, range(len(views)))
+    np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(got, q0)
+    assert views[-1].features.grad is None
+    assert want_g[-1] is None
+    for a, b in zip(got_g, want_g):
+        if b is None:
+            assert a is None
+            continue
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 # ---- cascade ----

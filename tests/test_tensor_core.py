@@ -90,6 +90,19 @@ def test_bilinear_far_outside_is_zero():
     np.testing.assert_allclose(out.data, 0.0)
 
 
+def test_bilinear_stack_band_does_not_bleed_into_next_view():
+    # view 0 is zero and view 1 is one: flattened, view 1's first row
+    # directly follows view 0's last one
+    maps = Tensor(np.stack([np.zeros((2, 4, 5)), np.ones((2, 4, 5))]))
+    pts = np.array([[2.0, 3.5], [2.0, 0.0]])
+    out = bilinear_sample(maps, pts, np.array([0, 1]))
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ShapeError, match="view"):
+        bilinear_sample(maps, pts, np.array([0, 2]))
+    with pytest.raises(ShapeError, match="stack"):
+        bilinear_sample(maps, pts)
+
+
 def test_focal_loss_single_positive_example():
     # p = 0.5, alpha 0.25, gamma 2 -> 0.25 * 0.25 * ln 2
     out = focal_loss(Tensor(np.zeros((1, 1))), [0], alpha=0.25, gamma=2.0)
