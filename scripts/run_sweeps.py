@@ -34,7 +34,7 @@ def main():
     base += ["--checkpoint", args.checkpoint, "--out", args.out]
     for axis in args.axes:
         print(f"\n== sweep {axis}: {values[axis]}")
-        rc = vf(["sweep"] + base + ["--sweep", axis, values[axis]])
+        rc = vf(["eval"] + base + ["--sweep", axis, values[axis]])
         if rc != 0:
             return rc
     return 0

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: train, eval, ablate, sweep, gen-scenes, inspect-message.
+Subcommands: train, eval (``--sweep`` runs one axis), ablate, gen-scenes,
+inspect-message, show-config.
 
 Everything a run emits is a deterministic function of (config, seed) except
 the sidecar log, which is the only place timestamps are written. Exit codes
@@ -28,25 +29,20 @@ import numpy as np
 from . import comms
 from .config import (ConfigError, ExperimentConfig, config_to_dict,
                      fingerprint, load_config, save_config)
-from .eval import (EvalReport, LADDER, ablation_ladder, evaluate_scenes,
-                   run_fusion, run_late_fusion, run_no_collaboration, sweep)
-from .model import (CheckpointError, FingerprintError, PipelineFlags,
-                    PipelineModel, TrainingError, load_checkpoint,
-                    save_checkpoint, train_step)
-from .model import FLAGS_FULL
+from .eval import (EvalReport, LADDER, ablation_ladder, run_fusion,
+                   run_late_fusion, run_no_collaboration, sweep)
+from .model import (FLAGS_FULL, CheckpointError, FingerprintError,
+                    PipelineFlags, PipelineModel, TrainingError, init_model,
+                    load_checkpoint, train)
+# the benchmark's characterisation reads the batch stream tag from here
+from .model import TAG_BATCH  # noqa: F401
 from .scene import generate_scene, scene_to_dict
-from .tensor import Adam
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONFINITE = 3
 EXIT_FINGERPRINT = 4
 EXIT_MISSING_CHECKPOINT = 5
-
-# rng stream tags for the training schedule; scene generation has its own
-TAG_BATCH = 11
-TAG_TRAIN_NOISE = 12
-TAG_INIT = 7
 
 FLAG_NAMES = ("ifa", "cdqa", "mask", "late_fuse")
 
@@ -90,14 +86,17 @@ def _parse_flags(spec: str) -> PipelineFlags:
         raise ConfigError(f"--flags: {e}") from None
 
 
-def _eval_flags(args, cfg: ExperimentConfig) -> PipelineFlags:
-    if getattr(args, "flags", None):
-        flags = _parse_flags(args.flags)
-    else:
-        flags = FLAGS_FULL
+def _share_mode_flags(flags: PipelineFlags,
+                      cfg: ExperimentConfig) -> PipelineFlags:
+    """Full-map sharing sends whole feature maps, so the mask is off."""
     if cfg.share_mode == "fullmap" and flags.ifa:
-        flags = replace(flags, mask=False)
+        return replace(flags, mask=False)
     return flags
+
+
+def _eval_flags(args, cfg: ExperimentConfig) -> PipelineFlags:
+    flags = _parse_flags(args.flags) if args.flags else FLAGS_FULL
+    return _share_mode_flags(flags, cfg)
 
 
 def _parse_values(spec: str, integer: bool = False) -> list:
@@ -118,83 +117,24 @@ def _parse_values(spec: str, integer: bool = False) -> list:
     return [int(round(v)) for v in vals] if integer else vals
 
 
-def _train_scenes(cfg: ExperimentConfig) -> list:
-    t = cfg.train
-    return [generate_scene(cfg.scene, t.scene_seed0 + i)
-            for i in range(t.n_scenes)]
+def _scenes(cfg: ExperimentConfig, section) -> list:
+    """The scene range of the train or eval section."""
+    return [generate_scene(cfg.scene, section.scene_seed0 + i)
+            for i in range(section.n_scenes)]
 
 
-def _eval_scenes(cfg: ExperimentConfig) -> list:
-    e = cfg.eval
-    return [generate_scene(cfg.scene, e.scene_seed0 + i)
-            for i in range(e.n_scenes)]
-
-
-def _fresh_model(cfg: ExperimentConfig) -> PipelineModel:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.train.seed, TAG_INIT]))
-    return PipelineModel(cfg.model, rng)
-
-
-def _read_loss_rows(path: Path) -> list[str]:
-    if not path.exists():
-        return []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return lines[1:] if lines and lines[0] == "step,loss" else []
-
-
-def _train_model(cfg: ExperimentConfig, flags: PipelineFlags, out: Path,
-                 ckpt_name: str, loss_name: str, log) -> PipelineModel:
-    """Train (or resume) one model; writes checkpoint + per-step loss CSV."""
-    out.mkdir(parents=True, exist_ok=True)
-    fp = fingerprint(cfg)
-    model = _fresh_model(cfg)
-    opt = Adam(model.params(), lr=cfg.train.lr)
-    ckpt = out / ckpt_name
-    loss_csv = out / loss_name
-    start = 0
-    kept: list[str] = []
-    if ckpt.exists():
-        meta = load_checkpoint(ckpt, model, opt, expect_fingerprint=fp)
-        start = int(meta.get("step", 0))
-        kept = _read_loss_rows(loss_csv)[:start]
-        log(f"resumed {ckpt_name} at step {start}")
-    steps = cfg.train.steps
-    scenes = _train_scenes(cfg)
-    log(f"training {ckpt_name}: steps {start}..{steps}, "
-        f"{len(scenes)} scenes, flags {flags}")
-    with open(loss_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,loss\n")
-        for row in kept:
-            fh.write(row + "\n")
-        fh.flush()
-        seed = cfg.train.seed
-        batch = min(cfg.train.batch, len(scenes))
-        for step in range(start, steps):
-            # per-step streams make a resumed run equal a straight one
-            brng = np.random.default_rng(
-                np.random.SeedSequence([seed, TAG_BATCH, step]))
-            idx = brng.choice(len(scenes), size=batch, replace=False)
-            nrng = np.random.default_rng(
-                np.random.SeedSequence([seed, TAG_TRAIN_NOISE, step]))
-            loss = train_step([scenes[i] for i in idx], model, opt, flags,
-                              noise_sigma=cfg.train.noise_sigma,
-                              noise_rng=nrng, detector_mode="train")
-            fh.write(f"{step},{loss:.17g}\n")
-            fh.flush()
-            done = step + 1
-            if done % cfg.train.checkpoint_every == 0 and done < steps:
-                save_checkpoint(ckpt, model, opt, fingerprint=fp, step=done)
-            if done % 25 == 0 or done == steps:
-                log(f"{ckpt_name} step {done}/{steps} loss {loss:.6f}")
-    save_checkpoint(ckpt, model, opt, fingerprint=fp, step=max(steps, start))
-    return model
+def _train(cfg: ExperimentConfig, flags: PipelineFlags, out: Path,
+           suffix: str, log) -> PipelineModel:
+    """Train (or resume) into checkpoint{suffix}.npz and loss{suffix}.csv."""
+    return train(cfg.model, cfg.train, _scenes(cfg, cfg.train), flags,
+                 out / f"checkpoint{suffix}.npz", out / f"loss{suffix}.csv",
+                 fingerprint=fingerprint(cfg), log=log)
 
 
 def _load_model(cfg: ExperimentConfig, path: Path) -> PipelineModel:
     if not path.exists():
         raise FileNotFoundError(f"checkpoint {path} does not exist")
-    model = _fresh_model(cfg)
+    model = init_model(cfg.model, cfg.train.seed)
     load_checkpoint(path, model, expect_fingerprint=fingerprint(cfg))
     return model
 
@@ -243,8 +183,7 @@ def cmd_train(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = _sidecar_logger(out / "run.log")
-    flags = replace(FLAGS_FULL, mask=cfg.share_mode == "instance")
-    _train_model(cfg, flags, out, "checkpoint.npz", "loss.csv", log)
+    _train(cfg, _share_mode_flags(FLAGS_FULL, cfg), out, "", log)
     save_config(cfg, out / "config.json")
     print(f"trained {cfg.train.steps} steps "
           f"(fingerprint {fingerprint(cfg)}, seed {cfg.train.seed})")
@@ -266,7 +205,7 @@ def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.npz"
     model = _load_model(cfg, ckpt)
     flags = _eval_flags(args, cfg)
-    scenes = _eval_scenes(cfg)
+    scenes = _scenes(cfg, cfg.eval)
     kw = _eval_kwargs(cfg, noise_override=args.noise)
     if args.sweep:
         return _run_sweep(args.sweep[0], args.sweep[1], model, scenes, flags,
@@ -308,39 +247,25 @@ def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    return cmd_eval(args)
-
-
-TRAIN_FLAGS = {
-    # late fusion exchanges detections only, so its model trains solo
-    "late": PipelineFlags(ifa=False, cdqa=False, mask=True),
-    "ifa": PipelineFlags(ifa=True, cdqa=False, mask=False),
-    "ifa+cdqa": PipelineFlags(ifa=True, cdqa=True, mask=False),
-    "ifa+cdqa+mask": PipelineFlags(ifa=True, cdqa=True, mask=True),
-}
-
-
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = _sidecar_logger(out / "run.log")
     models = {}
-    for name, _ in LADDER:
-        path = out / f"checkpoint_{_safe_name(name)}.npz"
+    for name, flags in LADDER:
+        # late_fuse only changes evaluation, so the late row trains solo
+        suffix = f"_{_safe_name(name)}"
+        path = out / f"checkpoint{suffix}.npz"
         if path.exists():
             models[name] = _load_model(cfg, path)
         elif args.train_missing:
-            models[name] = _train_model(
-                cfg, TRAIN_FLAGS[name], out,
-                f"checkpoint_{_safe_name(name)}.npz",
-                f"loss_{_safe_name(name)}.csv", log)
+            models[name] = _train(cfg, flags, out, suffix, log)
         else:
             print(f"missing checkpoint for ladder row '{name}': {path}\n"
                   f"rerun with --train-missing to train it", file=sys.stderr)
             return EXIT_MISSING_CHECKPOINT
-    scenes = _eval_scenes(cfg)
+    scenes = _scenes(cfg, cfg.eval)
     reports = ablation_ladder(models, scenes, **_eval_kwargs(cfg))
     _write_csv(out / "ablation.csv", _report_csv_rows(reports))
     print(format_table(reports))
@@ -471,13 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", nargs=2, metavar=("AXIS", "VALUES"),
                    help="sweep an axis, e.g. --sweep noise 0:0.6:7")
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("sweep", help="evaluate along one swept axis")
-    _add_config_args(p, with_train=True)
-    _add_eval_args(p)
-    p.add_argument("--sweep", nargs=2, metavar=("AXIS", "VALUES"),
-                   required=True, help="axis and values, e.g. noise 0:0.6:7")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("ablate", help="run the component ladder")
     _add_config_args(p, with_train=True)

@@ -205,11 +205,6 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         encoding="utf-8")
 
 
-def canonical_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True,
-                      separators=(",", ":"))
-
-
 def fingerprint(cfg: ExperimentConfig) -> str:
     """Stable 64-bit hex digest of the artifact-defining fields."""
     d = config_to_dict(cfg)

@@ -2,9 +2,8 @@
 
 Rotated-IoU average precision, the no-collaboration and late-fusion
 baselines, flagged pipeline runs, the ablation ladder, and the sweep
-drivers (localization noise, agent count, share threshold, positional
-encoding). Reports are line-oriented JSON: one record per scene plus an
-aggregate summary.
+driver (localization noise, agent count, share threshold). Reports are
+line-oriented JSON: one record per scene plus an aggregate summary.
 """
 from __future__ import annotations
 
@@ -21,8 +20,8 @@ from .decoder import decoded_rows
 from .geometry import (Pose, clip_convex, normalize_angle, polygon_area,
                        rect_corners, relative_pose)
 from .ifa import BevGridSpec
-from .model import (FLAGS_SOLO, PipelineFlags, PipelineModel, ego_frame_targets,
-                    model_forward)
+from .model import (FLAGS_FULL, FLAGS_LATE, FLAGS_SOLO, PipelineFlags,
+                    PipelineModel, ego_frame_targets, model_forward)
 from .scene import GtBox, Scene, truncate_scene
 
 TAG_EVAL_NOISE = 5
@@ -347,15 +346,12 @@ def run_no_collaboration(model, scenes, **kw) -> EvalReport:
 
 def run_late_fusion(model, scenes, **kw) -> EvalReport:
     kw.setdefault("label", "late")
-    flags = PipelineFlags(ifa=False, cdqa=False, mask=True, late_fuse=True)
-    return evaluate_scenes(model, scenes, flags, **kw)
+    return evaluate_scenes(model, scenes, FLAGS_LATE, **kw)
 
 
-def run_fusion(model, scenes, flags: PipelineFlags | None = None,
+def run_fusion(model, scenes, flags: PipelineFlags = FLAGS_FULL,
                **kw) -> EvalReport:
     kw.setdefault("label", "fused")
-    if flags is None:
-        flags = PipelineFlags()
     return evaluate_scenes(model, scenes, flags, **kw)
 
 
@@ -363,10 +359,10 @@ def run_fusion(model, scenes, flags: PipelineFlags | None = None,
 
 
 LADDER = (
-    ("late", PipelineFlags(ifa=False, cdqa=False, mask=True, late_fuse=True)),
+    ("late", FLAGS_LATE),
     ("ifa", PipelineFlags(ifa=True, cdqa=False, mask=False)),
     ("ifa+cdqa", PipelineFlags(ifa=True, cdqa=True, mask=False)),
-    ("ifa+cdqa+mask", PipelineFlags(ifa=True, cdqa=True, mask=True)),
+    ("ifa+cdqa+mask", FLAGS_FULL),
 )
 
 
@@ -387,48 +383,26 @@ def ablation_ladder(models: dict[str, PipelineModel], scenes: list[Scene],
 # ---- sweeps ----
 
 
-SWEEP_AXES = ("noise_sigma", "n_agents", "c_thre", "pos_encoding")
+SWEEP_AXES = ("noise_sigma", "n_agents", "c_thre")
 
 
-def sweep(axis: str, values, models, scenes: list[Scene],
-          flags: PipelineFlags | None = None, **kw) -> list[EvalReport]:
-    """One evaluation per value over a shared scene set.
-
-    ``models`` is a single model for evaluation-only axes and a dict keyed
-    by value for ``pos_encoding`` (trained separately per strategy).
-    """
+def sweep(axis: str, values, model: PipelineModel, scenes: list[Scene],
+          flags: PipelineFlags = FLAGS_FULL, **kw) -> list[EvalReport]:
+    """One evaluation of one model per value over a shared scene set."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; one of {SWEEP_AXES}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    if flags is None:
-        flags = PipelineFlags()
-    out = []
-    if axis == "pos_encoding":
-        for v in values:
-            if v not in models:
-                raise ValueError(f"no model trained for pos_encoding={v!r}")
-            out.append(evaluate_scenes(models[v], scenes, flags,
-                                       label=f"pos_encoding={v}", **kw))
-        return out
-    model = models
     if axis == "n_agents":
         base_targets = {s.seed: ego_frame_targets(s, model.spec,
                                                   model.cfg.vis_min)
                         for s in scenes}
-        for v in values:
-            cut = [truncate_scene(s, int(v)) for s in scenes]
-            out.append(evaluate_scenes(model, cut, flags,
-                                       label=f"n_agents={int(v)}",
-                                       targets=base_targets, **kw))
-        return out
-    for v in values:
-        if axis == "noise_sigma":
-            out.append(evaluate_scenes(model, scenes, flags,
-                                       label=f"noise_sigma={v:g}",
-                                       noise_sigma=float(v), **kw))
-        else:
-            out.append(evaluate_scenes(model, scenes, flags,
-                                       label=f"c_thre={v:g}",
-                                       c_thre=float(v), **kw))
-    return out
+        return [evaluate_scenes(model, [truncate_scene(s, int(v))
+                                        for s in scenes], flags,
+                                label=f"n_agents={int(v)}",
+                                targets=base_targets, **kw)
+                for v in values]
+    # noise_sigma and c_thre are evaluate_scenes keywords of the same name
+    return [evaluate_scenes(model, scenes, flags, label=f"{axis}={v:g}",
+                            **{axis: float(v)}, **kw)
+            for v in values]

@@ -2,7 +2,8 @@
 
 Wires the synthetic renderer, the instance-sharing channel, the BEV
 aggregation cascade and the query decoder into one trainable model, and
-provides the training step plus checkpoint round-tripping.
+provides the training step, the training loop and checkpoint
+round-tripping.
 
 Two data paths exist for collaborator features. Training multiplies the
 sender's differentiable feature map by the foreground mask so gradients
@@ -16,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +48,11 @@ class FingerprintError(CheckpointError):
 
 
 CHECKPOINT_VERSION = 1
+
+# rng stream tags for the training schedule; scene generation has its own
+TAG_INIT = 7
+TAG_BATCH = 11
+TAG_TRAIN_NOISE = 12
 
 
 @dataclass
@@ -105,6 +112,8 @@ class PipelineFlags:
 
 FLAGS_FULL = PipelineFlags()
 FLAGS_SOLO = PipelineFlags(ifa=False, cdqa=False, mask=True)
+# detections only cross the link; the model itself runs solo
+FLAGS_LATE = PipelineFlags(ifa=False, cdqa=False, mask=True, late_fuse=True)
 
 
 class PipelineModel:
@@ -457,3 +466,70 @@ def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
                 raise CheckpointError("checkpoint carries no optimizer state")
             opt.load_state_arrays({k[len("opt."):]: z[k] for k in keys})
     return meta
+
+
+# ---- training loop ----
+
+
+def init_model(cfg: ModelConfig, seed: int) -> PipelineModel:
+    """Fresh weights drawn from the run seed's init stream."""
+    return PipelineModel(
+        cfg, np.random.default_rng(np.random.SeedSequence([seed, TAG_INIT])))
+
+
+def _read_loss_rows(path: Path) -> list[str]:
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[1:] if lines and lines[0] == "step,loss" else []
+
+
+def train(model_cfg: ModelConfig, train_cfg, scenes: list[Scene],
+          flags: PipelineFlags, ckpt: Path, loss_csv: Path, *,
+          fingerprint: str, log) -> PipelineModel:
+    """Train (or resume from ``ckpt``) one model over ``scenes``.
+
+    ``train_cfg`` is a ``config.TrainConfig``. Writes one ``step,loss`` row
+    per step to ``loss_csv`` and checkpoints every ``checkpoint_every``
+    steps and at the end; ``log`` receives progress lines.
+    """
+    model = init_model(model_cfg, train_cfg.seed)
+    opt = Adam(model.params(), lr=train_cfg.lr)
+    start = 0
+    kept: list[str] = []
+    if ckpt.exists():
+        meta = load_checkpoint(ckpt, model, opt, expect_fingerprint=fingerprint)
+        start = int(meta.get("step", 0))
+        kept = _read_loss_rows(loss_csv)[:start]
+        log(f"resumed {ckpt.name} at step {start}")
+    steps = train_cfg.steps
+    log(f"training {ckpt.name}: steps {start}..{steps}, "
+        f"{len(scenes)} scenes, flags {flags}")
+    with open(loss_csv, "w", encoding="utf-8", newline="") as fh:
+        fh.write("step,loss\n")
+        for row in kept:
+            fh.write(row + "\n")
+        fh.flush()
+        seed = train_cfg.seed
+        batch = min(train_cfg.batch, len(scenes))
+        for step in range(start, steps):
+            # per-step streams make a resumed run equal a straight one
+            brng = np.random.default_rng(
+                np.random.SeedSequence([seed, TAG_BATCH, step]))
+            idx = brng.choice(len(scenes), size=batch, replace=False)
+            nrng = np.random.default_rng(
+                np.random.SeedSequence([seed, TAG_TRAIN_NOISE, step]))
+            loss = train_step([scenes[i] for i in idx], model, opt, flags,
+                              noise_sigma=train_cfg.noise_sigma,
+                              noise_rng=nrng, detector_mode="train")
+            fh.write(f"{step},{loss:.17g}\n")
+            fh.flush()
+            done = step + 1
+            if done % train_cfg.checkpoint_every == 0 and done < steps:
+                save_checkpoint(ckpt, model, opt, fingerprint=fingerprint,
+                                step=done)
+            if done % 25 == 0 or done == steps:
+                log(f"{ckpt.name} step {done}/{steps} loss {loss:.6f}")
+    save_checkpoint(ckpt, model, opt, fingerprint=fingerprint,
+                    step=max(steps, start))
+    return model

@@ -18,7 +18,6 @@ identical seeds reproduce identical scenes, renders, and detector jitter.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -756,14 +755,3 @@ def scene_from_dict(d: dict) -> Scene:
                    w=b["size"][0], l=b["size"][1], h=b["size"][2], yaw=b["yaw"])
              for b in d["boxes"]]
     return Scene(seed=d["seed"], cfg=cfg, agents=agents, boxes=boxes)
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w") as f:
-        json.dump(scene_to_dict(scene), f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def load_scene(path) -> Scene:
-    with open(path) as f:
-        return scene_from_dict(json.load(f))

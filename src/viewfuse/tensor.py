@@ -70,9 +70,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -246,7 +243,7 @@ class Tensor:
 
         def vjp(g):
             z = np.zeros_like(a.data)
-            z[key] = g
+            np.add.at(z, key, g)   # a repeated index gets every share
             return (z,)
 
         return Tensor._make(np.asarray(out_data, dtype=np.float64), (a,), vjp)
@@ -531,13 +528,6 @@ class Mlp:
             out[f"{self.name}.w{i}"] = w
             out[f"{self.name}.b{i}"] = b
         return out
-
-
-def sgd_step(params, lr: float) -> None:
-    """In-place vanilla SGD over an iterable of tensors."""
-    for p in params:
-        if p.grad is not None:
-            p.data -= lr * p.grad
 
 
 class Adam:

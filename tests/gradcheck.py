@@ -157,6 +157,9 @@ def op_gradient_cases(rng: np.random.Generator):
                                            Tensor(w64)).sum(), [spts]
     yield "bilinear_stack_both", lambda m, p: (T.bilinear_sample(m, p, sview) *
                                                Tensor(w64)).sum(), [maps, spts]
+    # last, so its input draw leaves every other case's inputs unchanged
+    yield "getitem_repeat", lambda a: (a[np.array([0, 0, 2])] * Tensor(wa)).sum(), \
+        [u((3, 4))]
 
 
 def run_op_gradient_suite(n_seeds: int, tol: float = 1e-5) -> int:

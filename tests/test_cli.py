@@ -1,12 +1,14 @@
 """Command line contract: exit codes, file outputs, determinism."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from viewfuse import comms
-from viewfuse.cli import main
+from viewfuse.cli import build_parser, main
 from viewfuse.config import (ConfigError, ExperimentConfig, config_from_dict,
                              config_to_dict, fingerprint, load_config)
 from viewfuse.scene import scene_from_dict
@@ -227,9 +229,9 @@ def test_sweep_emits_one_row_per_point(trained, capsys):
     assert rows[0].startswith("noise_sigma,label,")
 
 
-def test_sweep_subcommand_and_value_list(trained, capsys):
+def test_sweep_value_list(trained, capsys):
     cp, run = trained
-    assert main(["sweep", "--config", str(cp), "--sweep", "c_thre",
+    assert main(["eval", "--config", str(cp), "--sweep", "c_thre",
                  "0.1,0.5"]) == 0
     capsys.readouterr()
     rows = (run / "sweep_c_thre.csv").read_text().splitlines()
@@ -266,6 +268,20 @@ def test_ablate_ladder_csv(tmp_path, capsys):
     # second invocation reuses the checkpoints
     assert main(["ablate", "--config", str(cp)]) == 0
     capsys.readouterr()
+
+
+def test_ablate_full_row_is_the_train_run(trained, tmp_path, capsys):
+    # train and the ladder's last row both run FLAGS_FULL with instance
+    # sharing through the one training loop, so their files agree byte for byte
+    cp, run = trained
+    ab = tmp_path / "ab"
+    assert main(["ablate", "--config", str(cp), "--out", str(ab),
+                 "--train-missing"]) == 0
+    capsys.readouterr()
+    assert ((ab / "loss_ifa+cdqa+mask.csv").read_bytes()
+            == (run / "loss.csv").read_bytes())
+    assert ((ab / "checkpoint_ifa+cdqa+mask.npz").read_bytes()
+            == (run / "checkpoint.npz").read_bytes())
 
 
 # ---- scene corpus and message dumps ----
@@ -329,3 +345,36 @@ def test_show_config_prints_fingerprint(tmp_path, capsys):
     parsed = json.loads(got.out)
     assert parsed["model"]["c"] == 12
     assert fingerprint(config_from_dict(d)) in got.err
+
+
+# ---- scripts ----
+
+
+def _script_subcommands() -> dict[str, str]:
+    """Subcommand literal of every ``vf([...])`` call in scripts/*.py."""
+    found = {}
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    for path in sorted(scripts.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "vf"):
+                continue
+            arg = node.args[0]
+            while isinstance(arg, ast.BinOp):
+                arg = arg.left
+            where = f"{path.name}:{node.lineno}"
+            assert (isinstance(arg, ast.List) and arg.elts
+                    and isinstance(arg.elts[0], ast.Constant)), \
+                f"{where}: vf() must start its argv with a literal subcommand"
+            found[where] = arg.elts[0].value
+    return found
+
+
+def test_scripts_call_only_known_subcommands(capsys):
+    calls = _script_subcommands()
+    assert calls, "no vf([...]) calls found under scripts/"
+    for where, sub in calls.items():
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args([sub, "--help"])
+        capsys.readouterr()
+        assert e.value.code == 0, f"{where}: unknown subcommand {sub!r}"

@@ -277,8 +277,6 @@ def test_sweep_validation(rig):
         sweep("bogus", [1], model, scenes)
     with pytest.raises(ValueError, match="value"):
         sweep("noise_sigma", [], model, scenes)
-    with pytest.raises(ValueError, match="pos_encoding"):
-        sweep("pos_encoding", ["cone"], {}, scenes)
 
 
 def test_worker_pool_matches_serial(rig, monkeypatch):

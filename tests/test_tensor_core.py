@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from viewfuse import tensor as T
 from viewfuse.tensor import (
     Adam, Mlp, NumericError, ShapeError, Tensor, bilinear_sample, focal_loss,
-    l1_loss, layer_norm, sgd_step, softmax,
+    l1_loss, layer_norm, softmax,
 )
 
 from gradcheck import check_scalar_fn, op_gradient_cases, run_op_gradient_suite
@@ -180,13 +180,6 @@ def test_forward_determinism():
 
 
 # ---- optimizers ----
-
-def test_sgd_step_moves_against_gradient():
-    p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    p.grad = np.array([1.0, 2.0])
-    sgd_step([p], lr=0.1)
-    np.testing.assert_allclose(p.data, [0.9, 0.8])
-
 
 def test_adam_zero_grad_is_noop():
     p = Tensor(np.array([1.0, -1.0]), requires_grad=True)
