@@ -123,10 +123,10 @@ def _scenes(cfg: ExperimentConfig, section) -> list:
             for i in range(section.n_scenes)]
 
 
-def _train(cfg: ExperimentConfig, flags: PipelineFlags, out: Path,
-           suffix: str, log) -> PipelineModel:
+def _train(cfg: ExperimentConfig, scenes: list, flags: PipelineFlags,
+           out: Path, suffix: str, log) -> PipelineModel:
     """Train (or resume) into checkpoint{suffix}.npz and loss{suffix}.csv."""
-    return train(cfg.model, cfg.train, _scenes(cfg, cfg.train), flags,
+    return train(cfg.model, cfg.train, scenes, flags,
                  out / f"checkpoint{suffix}.npz", out / f"loss{suffix}.csv",
                  fingerprint=fingerprint(cfg), log=log)
 
@@ -183,7 +183,8 @@ def cmd_train(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = _sidecar_logger(out / "run.log")
-    _train(cfg, _share_mode_flags(FLAGS_FULL, cfg), out, "", log)
+    _train(cfg, _scenes(cfg, cfg.train), _share_mode_flags(FLAGS_FULL, cfg),
+           out, "", log)
     save_config(cfg, out / "config.json")
     print(f"trained {cfg.train.steps} steps "
           f"(fingerprint {fingerprint(cfg)}, seed {cfg.train.seed})")
@@ -233,6 +234,11 @@ def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
             f'pick from {",".join(sorted(set(CLI_SWEEP_AXES)))}')
     axis = CLI_SWEEP_AXES[axis_name]
     values = _parse_values(value_spec, integer=axis == "n_agents")
+    n_agents = cfg.scene.n_agents
+    if axis == "n_agents" and not all(1 <= v <= n_agents for v in values):
+        raise ConfigError(
+            f'sweep axis "{axis_name}": values {values} must lie in '
+            f'1..{n_agents}, the agent count of the eval scenes')
     kw = dict(kw)
     if axis == "noise_sigma":
         kw.pop("noise_sigma", None)   # the sweep sets it per point
@@ -253,6 +259,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log = _sidecar_logger(out / "run.log")
     models = {}
+    train_scenes = None     # generated once, and only if some row trains
     for name, flags in LADDER:
         # late_fuse only changes evaluation, so the late row trains solo
         suffix = f"_{_safe_name(name)}"
@@ -260,7 +267,9 @@ def cmd_ablate(args) -> int:
         if path.exists():
             models[name] = _load_model(cfg, path)
         elif args.train_missing:
-            models[name] = _train(cfg, flags, out, suffix, log)
+            if train_scenes is None:
+                train_scenes = _scenes(cfg, cfg.train)
+            models[name] = _train(cfg, train_scenes, flags, out, suffix, log)
         else:
             print(f"missing checkpoint for ladder row '{name}': {path}\n"
                   f"rerun with --train-missing to train it", file=sys.stderr)
@@ -354,17 +363,20 @@ def cmd_show_config(args) -> int:
 # ---- parser ----
 
 
-def _add_config_args(p, with_train=False):
+def _add_config_args(p, overrides=True, steps=True):
+    """--config, plus the overrides a subcommand's outputs depend on."""
     p.add_argument("--config", help="experiment config JSON; defaults apply if omitted")
+    if not overrides:
+        return
     p.add_argument("--out", help="override out_dir")
     p.add_argument("--c-thre", dest="c_thre", type=float,
                    help="2D detector confidence threshold override")
     p.add_argument("--share-mode", dest="share_mode",
                    choices=("instance", "fullmap"),
                    help="share detected instances only, or whole feature maps")
-    if with_train:
+    if steps:
         p.add_argument("--steps", type=int, help="override train.steps")
-        p.add_argument("--seed", type=int, help="override train.seed")
+    p.add_argument("--seed", type=int, help="override train.seed")
 
 
 def _add_eval_args(p):
@@ -387,24 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a config")
-    _add_config_args(p, with_train=True)
+    _add_config_args(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_config_args(p, with_train=True)
+    _add_config_args(p, steps=False)
     _add_eval_args(p)
     p.add_argument("--sweep", nargs=2, metavar=("AXIS", "VALUES"),
                    help="sweep an axis, e.g. --sweep noise 0:0.6:7")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the component ladder")
-    _add_config_args(p, with_train=True)
+    _add_config_args(p)
     p.add_argument("--train-missing", action="store_true",
                    help="train any ladder checkpoint that is missing")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gen-scenes", help="write a scene corpus as JSONL")
-    _add_config_args(p)
+    _add_config_args(p, overrides=False)
     p.add_argument("out_file", help="output JSONL path")
     p.add_argument("--n", type=int, help="scene count; default eval.n_scenes")
     p.add_argument("--seed0", type=int,
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("show-config",
                        help="print the resolved config and its fingerprint")
-    _add_config_args(p, with_train=True)
+    _add_config_args(p)
     p.set_defaults(fn=cmd_show_config)
 
     return ap

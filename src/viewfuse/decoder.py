@@ -274,16 +274,8 @@ class DetrDecoder:
         return Predictions(cls_logits=logits, box_vec=box_vec)
 
 
-def decode(decoder: DetrDecoder, fbev: Tensor, queries: Tensor,
-           spec: BevGridSpec, codec: BoxCodec | None = None,
-           anchors: np.ndarray | None = None) -> Tensor:
-    """Full head forward to the raw (c, x, y, z, w, l, h, yaw) rows."""
-    codec = codec if codec is not None else BoxCodec.from_grid(spec)
-    pred = decoder.forward(fbev, queries, spec, anchors=anchors)
-    return decoded_rows(pred, codec)
-
-
-def decoded_rows(pred: Predictions, codec: BoxCodec) -> Tensor:
+def decoded_rows(pred: Predictions, codec: BoxCodec) -> np.ndarray:
+    """Head outputs to raw (c, x, y, z, w, l, h, yaw) rows."""
     logits = pred.cls_logits.data[:, 0]
     probs = 1.0 / (1.0 + np.exp(-logits))
-    return Tensor(codec.decode_rows(probs, pred.box_vec.data))
+    return codec.decode_rows(probs, pred.box_vec.data)

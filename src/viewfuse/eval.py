@@ -8,25 +8,20 @@ line-oriented JSON: one record per scene plus an aggregate summary.
 from __future__ import annotations
 
 import json
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import CommLedger, DetectionMessage, decode_detection, encode_detection
+from .comms import (CommLedger, DetectionMessage, comm_volume_log2,
+                    decode_detection, encode_detection)
 from .decoder import decoded_rows
-from .geometry import (Pose, clip_convex, normalize_angle, polygon_area,
-                       rect_corners, relative_pose)
-from .ifa import BevGridSpec
+from .geometry import (Pose, apply_pose, clip_convex, normalize_angle,
+                       polygon_area, rect_corners, relative_pose)
 from .model import (FLAGS_FULL, FLAGS_LATE, FLAGS_SOLO, PipelineFlags,
                     PipelineModel, ego_frame_targets, model_forward)
 from .scene import GtBox, Scene, truncate_scene
 
 TAG_EVAL_NOISE = 5
-
-WORKERS_ENV = "VIEWFUSE_WORKERS"
 
 IOU_THRESHOLDS = (0.30, 0.50, 0.70)
 
@@ -73,20 +68,6 @@ def rotated_iou_bev(a, b) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def rotated_iou_3d(a, b) -> float:
-    """BEV intersection times vertical overlap, over the 3-D union."""
-    if min(a.w, a.l, a.h, b.w, b.l, b.h) <= 0.0:
-        raise ValueError("boxes need positive sizes")
-    ca = rect_corners(a.x, a.y, a.w, a.l, a.yaw)
-    cb = rect_corners(b.x, b.y, b.w, b.l, b.yaw)
-    inter_poly = clip_convex(ca, cb)
-    inter_bev = polygon_area(inter_poly) if len(inter_poly) >= 3 else 0.0
-    dz = min(a.z + a.h / 2, b.z + b.h / 2) - max(a.z - a.h / 2, b.z - b.h / 2)
-    inter = inter_bev * max(0.0, dz)
-    union = a.w * a.l * a.h + b.w * b.l * b.h - inter
-    return inter / union if union > 0.0 else 0.0
-
-
 # ---- AP ----
 
 
@@ -116,9 +97,7 @@ def match_detections(dets: list[Detection], gts: list[GtBox],
 
 def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
     """All-point interpolated AP from (confidence, is_true_positive) pairs."""
-    if n_gt == 0:
-        return 0.0
-    if not scored:
+    if n_gt == 0 or not scored:
         return 0.0
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][0], i))
     tp = np.cumsum([1.0 if scored[i][1] else 0.0 for i in order])
@@ -202,10 +181,8 @@ def _scene_record(scene_seed: int, dets: list[Detection], n_gt: int,
 
 def detection_to_frame(det: Detection, t: Pose) -> Detection:
     """Re-express a detection given the sender-to-receiver transform."""
-    c, s = math.cos(t.yaw), math.sin(t.yaw)
-    x = c * det.x - s * det.y + t.x
-    y = s * det.x + c * det.y + t.y
-    return Detection(x=x, y=y, z=det.z + t.z, w=det.w, l=det.l, h=det.h,
+    x, y, z = apply_pose(t, [det.x, det.y, det.z]).tolist()
+    return Detection(x=x, y=y, z=z, w=det.w, l=det.l, h=det.h,
                      yaw=normalize_angle(det.yaw + t.yaw),
                      confidence=det.confidence)
 
@@ -225,20 +202,18 @@ def evaluate_scene(model: PipelineModel, scene: Scene,
     fr = model_forward(model, scene, flags, wire=True,
                        noise_sigma=noise_sigma, noise_rng=rng,
                        detector_mode="infer", c_thre=c_thre)
-    rows = decoded_rows(fr.preds, model.codec).data
-    dets = rows_to_detections(rows)
+    dets = rows_to_detections(decoded_rows(fr.preds, model.codec))
     ledger = fr.ledger
     if flags.late_fuse and len(scene.agents) > 1:
         if det_thre is None:
             det_thre = model.cfg.c_thre
-        # the forward already drew each collaborator's reported pose; the
-        # detection transform must see the same noise realization
-        believed = fr.believed
         for j in range(1, len(scene.agents)):
             solo = model_forward(model, scene, FLAGS_SOLO, wire=True,
                                  detector_mode="infer", ego=j)
-            solo_rows = decoded_rows(solo.preds, model.codec).data
-            t = relative_pose(scene.ego.pose, believed[j])
+            solo_rows = decoded_rows(solo.preds, model.codec)
+            # the forward already drew each collaborator's reported pose;
+            # the detection transform must see the same noise realization
+            t = relative_pose(scene.ego.pose, fr.believed[j])
             for n, r in enumerate(solo_rows):
                 if r[0] <= det_thre:
                     continue
@@ -246,48 +221,10 @@ def evaluate_scene(model: PipelineModel, scene: Scene,
                                        box=tuple(r[1:8]), confidence=r[0])
                 msg = decode_detection(encode_detection(msg))
                 ledger.count_detection_message(msg, receiver=0)
-                d = Detection(x=msg.box[0], y=msg.box[1], z=msg.box[2],
-                              w=msg.box[3], l=msg.box[4], h=msg.box[5],
-                              yaw=msg.box[6], confidence=msg.confidence)
+                d = Detection(*msg.box, confidence=msg.confidence)
                 dets.append(detection_to_frame(d, t))
         dets = nms_rotated(dets, NMS_IOU)
     return dets, ledger
-
-
-# ---- worker-pool plumbing ----
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(model: PipelineModel, flags: PipelineFlags, kwargs: dict):
-    _POOL_STATE["model"] = model
-    _POOL_STATE["flags"] = flags
-    _POOL_STATE["kwargs"] = kwargs
-
-
-def _pool_eval(scene: Scene):
-    dets, ledger = evaluate_scene(_POOL_STATE["model"], scene,
-                                  _POOL_STATE["flags"],
-                                  **_POOL_STATE["kwargs"])
-    return scene.seed, dets, ledger
-
-
-def n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _eval_all(model, scenes, flags, kwargs) -> list[tuple[int, list, CommLedger]]:
-    workers = n_workers()
-    if workers == 1 or len(scenes) < 2:
-        return [(s.seed, *evaluate_scene(model, s, flags, **kwargs))
-                for s in scenes]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(model, flags, kwargs)) as pool:
-        return list(pool.map(_pool_eval, scenes))
 
 
 # ---- full-set evaluation ----
@@ -298,41 +235,37 @@ def evaluate_scenes(model: PipelineModel, scenes: list[Scene],
                     noise_sigma: float = 0.0, eval_seed: int = 0,
                     c_thre: float | None = None,
                     det_thre: float | None = None,
-                    fingerprint: str = "", vis_min: float | None = None,
+                    fingerprint: str = "",
                     targets: dict[int, list[GtBox]] | None = None,
-                    thresholds: tuple[float, ...] = IOU_THRESHOLDS,
                     ) -> EvalReport:
-    """Pooled AP over a scene set, reduced in input order.
+    """Pooled AP over a scene set, scenes evaluated in input order.
 
     ``targets`` overrides per-scene GT (keyed by scene seed); sweeps that
     truncate the agent roster use it to keep the task fixed.
     """
-    if vis_min is None:
-        vis_min = model.cfg.vis_min
-    results = _eval_all(model, scenes, flags,
-                        dict(noise_sigma=noise_sigma, eval_seed=eval_seed,
-                             c_thre=c_thre, det_thre=det_thre))
-    scored: dict[float, list[tuple[float, bool]]] = {t: [] for t in thresholds}
+    scored: dict[float, list[tuple[float, bool]]] = {
+        t: [] for t in IOU_THRESHOLDS}
     n_gt = 0
     ledgers = []
     per_scene = []
-    for scene, (seed, dets, ledger) in zip(scenes, results):
-        if targets is not None:
-            gts = targets[seed]
-        else:
-            gts = ego_frame_targets(scene, model.spec, vis_min)
+    for scene in scenes:
+        dets, ledger = evaluate_scene(
+            model, scene, flags, noise_sigma=noise_sigma, eval_seed=eval_seed,
+            c_thre=c_thre, det_thre=det_thre)
+        gts = (targets[scene.seed] if targets is not None
+               else ego_frame_targets(scene, model.spec, model.cfg.vis_min))
         n_gt += len(gts)
         ledgers.append(ledger)
-        per_scene.append(_scene_record(seed, dets, len(gts),
+        per_scene.append(_scene_record(scene.seed, dets, len(gts),
                                        ledger.total_bytes))
-        for t in thresholds:
+        for t in IOU_THRESHOLDS:
             flags_tp = match_detections(dets, gts, t)
             scored[t].extend((d.confidence, tp)
                              for d, tp in zip(dets, flags_tp))
     merged = CommLedger.merge(ledgers)
     total = merged.total_bytes
-    comm = math.log2(total) if total > 0 else None
-    ap = {t: average_precision(scored[t], n_gt) for t in thresholds}
+    comm = comm_volume_log2(merged) if total else None
+    ap = {t: average_precision(scored[t], n_gt) for t in IOU_THRESHOLDS}
     return EvalReport(label=label, ap=ap, comm_log2=comm, total_bytes=total,
                       n_scenes=len(scenes), n_gt=n_gt,
                       fingerprint=fingerprint, seed=eval_seed,
@@ -372,12 +305,9 @@ def ablation_ladder(models: dict[str, PipelineModel], scenes: list[Scene],
     missing = [name for name, _ in LADDER if name not in models]
     if missing:
         raise ValueError(f"no model for ladder rows {missing}")
-    out = []
-    for name, flags in LADDER:
-        r = evaluate_scenes(models[name], scenes, flags, label=name,
-                            **{k: v for k, v in kw.items() if k != "label"})
-        out.append(r)
-    return out
+    kw.pop("label", None)
+    return [evaluate_scenes(models[name], scenes, flags, label=name, **kw)
+            for name, flags in LADDER]
 
 
 # ---- sweeps ----

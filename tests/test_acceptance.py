@@ -18,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from gradcheck import check_scalar_fn, run_op_gradient_suite
 from ifa_reference import aggregate_reference_point
+from small import small_model, small_scene_cfg
 
 from viewfuse import comms
 from viewfuse.cdqa import cone_encode, instance_gap_encode
@@ -28,29 +29,9 @@ from viewfuse.eval import average_precision, rotated_iou_bev
 from viewfuse.geometry import CameraModel, Pose, project_points
 from viewfuse.ifa import (BevGridSpec, BevState, BevView, IfaBlock,
                           ifa_cascade)
-from viewfuse.model import FLAGS_FULL, PipelineModel, model_forward
+from viewfuse.model import FLAGS_FULL, model_forward
 from viewfuse.scene import GtBox, generate_scene
 from viewfuse.tensor import Tensor
-
-
-# ---- quick fixtures for the exactness checks ----
-
-
-def small_scene_cfg(**over):
-    from viewfuse.scene import SceneConfig
-    d = dict(n_agents=2, feat_c=12, feat_h=8, feat_w=12, stride=10,
-             focal_px=60.0, n_objects_min=5, n_objects_max=8,
-             occluded_fraction=0.4, pixel_noise=0.05)
-    d.update(over)
-    return SceneConfig(**d)
-
-
-def small_model(scene_cfg, seed=7):
-    from viewfuse.model import ModelConfig
-    mc = ModelConfig(feat_c=scene_cfg.feat_c, c=12, enc_hidden=12,
-                     grid_h=16, grid_w=16, resolution=1.9, n_q=24,
-                     n_blocks=2, n_dec_layers=2)
-    return PipelineModel(mc, np.random.default_rng(seed))
 
 
 # =====================================================================
@@ -227,7 +208,7 @@ def test_aggregation_equals_hand_average_two_and_three_views():
 
 def test_collaborator_permutation_leaves_fused_features_unchanged():
     cfg = small_scene_cfg(n_agents=3)
-    model = small_model(cfg)
+    model = small_model()
     worst = 0.0
     for i in range(50):
         scene = generate_scene(cfg, 4200 + i)
@@ -265,7 +246,7 @@ def _cells_seen_by_view(view, spec) -> np.ndarray:
 
 def test_unobserved_cells_are_bit_identical_under_view_corruption():
     cfg = small_scene_cfg(n_agents=2)
-    model = small_model(cfg)
+    model = small_model()
     checked = 0
     for i in range(8):
         scene = generate_scene(cfg, 4600 + i)
@@ -358,7 +339,7 @@ def test_wire_bytes_match_the_golden_hex_file():
 
 def test_reconstruction_foreground_exact_background_zero():
     cfg = small_scene_cfg()
-    model = small_model(cfg)
+    model = small_model()
     hit = 0
     for i in range(10):
         scene = generate_scene(cfg, 4800 + i)
@@ -391,7 +372,7 @@ def test_comm_volume_log2_exact_on_constructed_ledgers():
 def test_instance_sharing_cheaper_than_fullmap_on_any_backgrounded_scene():
     from dataclasses import replace as drep
     cfg = small_scene_cfg()
-    model = small_model(cfg)
+    model = small_model()
     full_flags = FLAGS_FULL
     nomask = drep(FLAGS_FULL, mask=False)
     for i in range(15):
@@ -409,7 +390,7 @@ def test_instance_sharing_cheaper_than_fullmap_on_any_backgrounded_scene():
 
 def test_raising_the_share_threshold_never_costs_more_bytes():
     cfg = small_scene_cfg()
-    model = small_model(cfg)
+    model = small_model()
     for i in range(8):
         scene = generate_scene(cfg, 5100 + i)
         prev = None

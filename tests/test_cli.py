@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viewfuse import comms
+from viewfuse import cli, comms
 from viewfuse.cli import build_parser, main
 from viewfuse.config import (ConfigError, ExperimentConfig, config_from_dict,
                              config_to_dict, fingerprint, load_config)
@@ -244,6 +244,14 @@ def test_sweep_bad_axis(trained, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_sweep_agents_beyond_the_scene_roster(trained, capsys):
+    cp, run = trained
+    assert main(["eval", "--config", str(cp), "--sweep", "agents", "1,3"]) == 2
+    err = capsys.readouterr().err
+    assert "agents" in err and "1..2" in err
+    assert not (run / "sweep_n_agents.csv").exists()
+
+
 # ---- ablate ----
 
 
@@ -254,20 +262,32 @@ def test_ablate_missing_checkpoint_exit(trained, tmp_path, capsys):
     assert "train-missing" in capsys.readouterr().err
 
 
-def test_ablate_ladder_csv(tmp_path, capsys):
+def test_ablate_ladder_csv(tmp_path, monkeypatch, capsys):
+    generated = []
+    real = cli.generate_scene
+
+    def counting(cfg, seed):
+        generated.append(seed)
+        return real(cfg, seed)
+
+    monkeypatch.setattr(cli, "generate_scene", counting)
     d = cfg_dict(tmp_path / "ab", train={"steps": 2})
     cp = write_cfg(tmp_path, "c.json", d)
     assert main(["ablate", "--config", str(cp), "--train-missing"]) == 0
     capsys.readouterr()
+    # the four rows share one train corpus (5 scenes), then 2 eval scenes
+    assert len(generated) == 7
     rows = list((tmp_path / "ab" / "ablation.csv").read_text().splitlines())
     assert rows[0] == "label,ap30,ap50,ap70,comm_log2,total_bytes"
     labels = [r.split(",")[0] for r in rows[1:]]
     assert labels == ["late", "ifa", "ifa+cdqa", "ifa+cdqa+mask"]
     by_label = {r.split(",")[0]: r.split(",") for r in rows[1:]}
     assert int(by_label["ifa+cdqa+mask"][5]) < int(by_label["ifa+cdqa"][5])
-    # second invocation reuses the checkpoints
+    # second invocation reuses the checkpoints and generates no train scene
+    generated.clear()
     assert main(["ablate", "--config", str(cp)]) == 0
     capsys.readouterr()
+    assert len(generated) == 2
 
 
 def test_ablate_full_row_is_the_train_run(trained, tmp_path, capsys):
@@ -368,6 +388,20 @@ def _script_subcommands() -> dict[str, str]:
                 f"{where}: vf() must start its argv with a literal subcommand"
             found[where] = arg.elts[0].value
     return found
+
+
+def test_parser_rejects_options_that_change_no_output(capsys):
+    parse = build_parser().parse_args
+    for argv in (["gen-scenes", "s.jsonl", "--out", "x"],
+                 ["gen-scenes", "s.jsonl", "--c-thre", "0.5"],
+                 ["gen-scenes", "s.jsonl", "--share-mode", "fullmap"],
+                 ["eval", "--steps", "5"]):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        assert e.value.code == 2, argv
+    capsys.readouterr()
+    assert parse(["gen-scenes", "s.jsonl", "--config", "c.json"]).config == "c.json"
+    assert parse(["eval", "--seed", "4"]).seed == 4
 
 
 def test_scripts_call_only_known_subcommands(capsys):

@@ -12,7 +12,6 @@ from viewfuse.decoder import (
     LossWeights,
     MatchResult,
     Predictions,
-    decode,
     decoded_rows,
     hungarian_match,
     match_predictions,
@@ -207,10 +206,10 @@ def test_decode_rows_contract():
     c, n_q = 8, 5
     spec = BevGridSpec(grid_h=8, grid_w=8)
     dec = DetrDecoder(c=c, n_layers=1, n_da=2, rng=rng)
-    out = decode(dec, Tensor(rng.normal(size=(c, 8, 8))),
-                 Tensor(rng.normal(size=(n_q, c))), spec)
-    assert out.shape == (n_q, 8)
-    rows = out.data
+    pred = dec.forward(Tensor(rng.normal(size=(c, 8, 8))),
+                       Tensor(rng.normal(size=(n_q, c))), spec)
+    rows = decoded_rows(pred, BoxCodec.from_grid(spec))
+    assert rows.shape == (n_q, 8)
     assert np.all((rows[:, 0] >= 0.0) & (rows[:, 0] <= 1.0))
     assert np.all(rows[:, 4:7] > 0.0)
     assert np.all(np.abs(rows[:, 7]) <= math.pi)

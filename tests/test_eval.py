@@ -12,20 +12,17 @@ from viewfuse.eval import (
     average_precision,
     ablation_ladder,
     detection_to_frame,
-    evaluate_scene,
-    evaluate_scenes,
     match_detections,
     nms_rotated,
-    rotated_iou_3d,
     rotated_iou_bev,
-    rows_to_detections,
     run_fusion,
     run_late_fusion,
     run_no_collaboration,
     sweep,
 )
-from viewfuse.model import FLAGS_FULL, PipelineFlags, PipelineModel
-from viewfuse.scene import GtBox, SceneConfig, generate_scene
+from viewfuse.scene import GtBox, generate_scene
+
+from small import small_model, small_scene_cfg
 
 
 def det(x=0.0, y=0.0, z=0.5, w=2.0, l=4.0, h=1.5, yaw=0.0, conf=0.9):
@@ -34,21 +31,6 @@ def det(x=0.0, y=0.0, z=0.5, w=2.0, l=4.0, h=1.5, yaw=0.0, conf=0.9):
 
 def gt(x=0.0, y=0.0, z=0.5, w=2.0, l=4.0, h=1.5, yaw=0.0, obj_id=0):
     return GtBox(obj_id=obj_id, x=x, y=y, z=z, w=w, l=l, h=h, yaw=yaw)
-
-
-def small_scene_cfg(**kw):
-    base = dict(n_agents=2, feat_c=12, feat_h=8, feat_w=12, stride=10,
-                focal_px=60.0, n_objects_min=5, n_objects_max=8,
-                occluded_fraction=0.4, pixel_noise=0.05)
-    base.update(kw)
-    return SceneConfig(**base)
-
-
-def small_model():
-    from viewfuse.model import ModelConfig
-    cfg = ModelConfig(feat_c=12, c=12, enc_hidden=12, grid_h=16, grid_w=16,
-                      resolution=1.9, n_q=24, n_blocks=2, n_dec_layers=2)
-    return PipelineModel(cfg, np.random.default_rng(7))
 
 
 @pytest.fixture(scope="module")
@@ -118,14 +100,6 @@ def test_iou_against_monte_carlo():
         exact = rotated_iou_bev(a, b)
         approx = mc_iou(a, b, 200_000, rng)
         assert abs(exact - approx) < 0.015
-
-
-def test_iou_3d_vertical_overlap():
-    a = det(w=1.0, l=1.0, h=1.0, z=0.0)
-    b = gt(w=1.0, l=1.0, h=1.0, z=0.5)
-    # full BEV overlap, half height overlap: 0.5 / 1.5
-    assert rotated_iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert rotated_iou_3d(a, gt(w=1.0, l=1.0, h=1.0, z=5.0)) == 0.0
 
 
 # ---- AP ----
@@ -277,14 +251,6 @@ def test_sweep_validation(rig):
         sweep("bogus", [1], model, scenes)
     with pytest.raises(ValueError, match="value"):
         sweep("noise_sigma", [], model, scenes)
-
-
-def test_worker_pool_matches_serial(rig, monkeypatch):
-    model, scenes = rig
-    serial = run_fusion(model, scenes, eval_seed=4)
-    monkeypatch.setenv("VIEWFUSE_WORKERS", "2")
-    pooled = run_fusion(model, scenes, eval_seed=4)
-    assert pooled.to_jsonl() == serial.to_jsonl()
 
 
 def test_report_save_round_trip(rig, tmp_path):

@@ -6,7 +6,6 @@ from viewfuse.model import (
     CheckpointError,
     FLAGS_FULL,
     FLAGS_SOLO,
-    ModelConfig,
     PipelineFlags,
     PipelineModel,
     TrainingError,
@@ -17,23 +16,10 @@ from viewfuse.model import (
     train_step,
 )
 from viewfuse.geometry import apply_pose, invert
-from viewfuse.scene import SceneConfig, generate_scene
+from viewfuse.scene import generate_scene
 from viewfuse.tensor import Adam, Tensor
 
-
-def small_scene_cfg(**kw):
-    base = dict(n_agents=2, feat_c=12, feat_h=8, feat_w=12, stride=10,
-                focal_px=60.0, n_objects_min=5, n_objects_max=8,
-                occluded_fraction=0.4, pixel_noise=0.05)
-    base.update(kw)
-    return SceneConfig(**base)
-
-
-def small_model_cfg(**kw):
-    base = dict(feat_c=12, c=12, enc_hidden=12, grid_h=16, grid_w=16,
-                resolution=1.9, n_q=24, n_blocks=2, n_dec_layers=2)
-    base.update(kw)
-    return ModelConfig(**base)
+from small import small_model_cfg, small_scene_cfg
 
 
 @pytest.fixture(scope="module")
