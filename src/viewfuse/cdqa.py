@@ -10,7 +10,6 @@ learned query table forms the decoder's hybrid query set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,12 +22,6 @@ from .geometry import (
 )
 from .scene import Instance2D
 from .tensor import Mlp, Tensor, as_tensor, concat
-
-
-class PosEncoding(Enum):
-    NONE = "none"
-    LEARNED = "learned"
-    CONE = "cone"
 
 
 @dataclass(frozen=True)
@@ -111,31 +104,28 @@ def instance_gap_encode(crop: Tensor, mlp: Mlp) -> Tensor:
 
 @dataclass
 class HybridQueries:
-    q: Tensor                         # [N_Q, C]
-    n_instance: int                   # rows 0..n_instance are instance-derived
-    anchors: np.ndarray | None = None  # [N_Q, 2] decoder reference seeds
+    q: Tensor                 # [N_Q, C]
+    n_instance: int           # rows 0..n_instance are instance-derived
+    anchors: np.ndarray       # [N_Q, 2] decoder reference seeds
 
     def __post_init__(self):
         if self.n_instance > self.q.shape[0]:
             raise ValueError("more instance rows than queries")
-        if self.anchors is not None and (
-                self.anchors.shape != (self.q.shape[0], 2)):
+        if self.anchors.shape != (self.q.shape[0], 2):
             raise ValueError("one 2d anchor per query row")
 
 
 def build_hybrid_queries(encoded: list[tuple[Tensor, float]],
-                         learned: Tensor,
-                         instance_anchors: list | None = None,
-                         learned_anchors: np.ndarray | None = None
-                         ) -> HybridQueries:
+                         learned: Tensor, instance_anchors: list,
+                         learned_anchors: np.ndarray) -> HybridQueries:
     """Stack instance-derived queries ahead of the learned table.
 
     ``encoded`` pairs each query vector with the source confidence; if there
     are more instances than query slots the lowest-confidence ones are
-    dropped. The unfilled tail keeps the corresponding learned rows. When
-    ``learned_anchors`` is given, per-row decoder reference seeds are
-    assembled the same way; an instance whose anchor is None falls back to
-    its learned row's anchor.
+    dropped. The unfilled tail keeps the corresponding learned rows. Per-row
+    decoder reference seeds are assembled the same way from
+    ``instance_anchors`` (one per ``encoded`` entry) and ``learned_anchors``;
+    an instance whose anchor is None falls back to its learned row's anchor.
     """
     learned = as_tensor(learned)
     n_q, c = learned.shape
@@ -144,18 +134,14 @@ def build_hybrid_queries(encoded: list[tuple[Tensor, float]],
         keep = sorted(sorted(keep, key=lambda i: encoded[i][1],
                              reverse=True)[:n_q])
     n_i = len(keep)
+    anchors = np.array(learned_anchors, dtype=np.float64)
     if n_i == 0:
-        return HybridQueries(q=learned, n_instance=0,
-                             anchors=learned_anchors)
+        return HybridQueries(q=learned, n_instance=0, anchors=anchors)
     rows = [encoded[i][0].reshape(1, c) for i in keep]
     if n_i < n_q:
         rows.append(learned[n_i:])
-    anchors = None
-    if learned_anchors is not None:
-        anchors = np.array(learned_anchors, dtype=np.float64)
-        if instance_anchors is not None:
-            for row, i in enumerate(keep):
-                if instance_anchors[i] is not None:
-                    anchors[row] = instance_anchors[i]
+    for row, i in enumerate(keep):
+        if instance_anchors[i] is not None:
+            anchors[row] = instance_anchors[i]
     return HybridQueries(q=concat(rows, axis=0), n_instance=n_i,
                          anchors=anchors)

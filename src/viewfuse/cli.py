@@ -65,8 +65,6 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     if getattr(args, "c_thre", None) is not None:
         cfg = replace(cfg, model=replace(cfg.model, c_thre=args.c_thre))
-    if getattr(args, "share_mode", None) is not None:
-        cfg = replace(cfg, share_mode=args.share_mode)
     cfg.validate()
     return cfg
 
@@ -84,19 +82,6 @@ def _parse_flags(spec: str) -> PipelineFlags:
                              late_fuse="late_fuse" in chosen)
     except ValueError as e:
         raise ConfigError(f"--flags: {e}") from None
-
-
-def _share_mode_flags(flags: PipelineFlags,
-                      cfg: ExperimentConfig) -> PipelineFlags:
-    """Full-map sharing sends whole feature maps, so the mask is off."""
-    if cfg.share_mode == "fullmap" and flags.ifa:
-        return replace(flags, mask=False)
-    return flags
-
-
-def _eval_flags(args, cfg: ExperimentConfig) -> PipelineFlags:
-    flags = _parse_flags(args.flags) if args.flags else FLAGS_FULL
-    return _share_mode_flags(flags, cfg)
 
 
 def _parse_values(spec: str, integer: bool = False) -> list:
@@ -183,8 +168,7 @@ def cmd_train(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = _sidecar_logger(out / "run.log")
-    _train(cfg, _scenes(cfg, cfg.train), _share_mode_flags(FLAGS_FULL, cfg),
-           out, "", log)
+    _train(cfg, _scenes(cfg, cfg.train), FLAGS_FULL, out, "", log)
     save_config(cfg, out / "config.json")
     print(f"trained {cfg.train.steps} steps "
           f"(fingerprint {fingerprint(cfg)}, seed {cfg.train.seed})")
@@ -192,10 +176,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_kwargs(cfg: ExperimentConfig, noise_override=None) -> dict:
+def _eval_kwargs(cfg: ExperimentConfig, noise_override=None,
+                 c_thre=None) -> dict:
     e = cfg.eval
     sigma = e.noise_sigma if noise_override is None else noise_override
-    return dict(noise_sigma=sigma, eval_seed=e.eval_seed,
+    return dict(noise_sigma=sigma, c_thre=c_thre, eval_seed=e.eval_seed,
                 det_thre=e.det_thre, fingerprint=fingerprint(cfg))
 
 
@@ -205,9 +190,9 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.npz"
     model = _load_model(cfg, ckpt)
-    flags = _eval_flags(args, cfg)
+    flags = _parse_flags(args.flags) if args.flags else FLAGS_FULL
     scenes = _scenes(cfg, cfg.eval)
-    kw = _eval_kwargs(cfg, noise_override=args.noise)
+    kw = _eval_kwargs(cfg, noise_override=args.noise, c_thre=args.eval_c_thre)
     if args.sweep:
         return _run_sweep(args.sweep[0], args.sweep[1], model, scenes, flags,
                           cfg, out, kw)
@@ -240,8 +225,7 @@ def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
             f'sweep axis "{axis_name}": values {values} must lie in '
             f'1..{n_agents}, the agent count of the eval scenes')
     kw = dict(kw)
-    if axis == "noise_sigma":
-        kw.pop("noise_sigma", None)   # the sweep sets it per point
+    kw.pop(axis, None)   # the sweep sets it per point
     reports = sweep(axis, values, model, scenes, flags, **kw)
     _save_reports(reports, out)
     rows = _report_csv_rows(reports)
@@ -363,19 +347,24 @@ def cmd_show_config(args) -> int:
 # ---- parser ----
 
 
-def _add_config_args(p, overrides=True, steps=True):
-    """--config, plus the overrides a subcommand's outputs depend on."""
+def _add_config_args(p, overrides=True, train=True):
+    """--config, plus the overrides a subcommand's outputs depend on.
+
+    ``train`` adds the overrides that shape a trained model; eval reads a
+    checkpoint, so it takes the share threshold as an evaluation knob.
+    """
     p.add_argument("--config", help="experiment config JSON; defaults apply if omitted")
     if not overrides:
         return
     p.add_argument("--out", help="override out_dir")
-    p.add_argument("--c-thre", dest="c_thre", type=float,
-                   help="2D detector confidence threshold override")
-    p.add_argument("--share-mode", dest="share_mode",
-                   choices=("instance", "fullmap"),
-                   help="share detected instances only, or whole feature maps")
-    if steps:
+    if train:
+        p.add_argument("--c-thre", dest="c_thre", type=float,
+                       help="override model.c_thre, the share threshold")
         p.add_argument("--steps", type=int, help="override train.steps")
+    else:
+        p.add_argument("--c-thre", dest="eval_c_thre", type=float,
+                       help="share threshold for this evaluation "
+                            "(default model.c_thre)")
     p.add_argument("--seed", type=int, help="override train.seed")
 
 
@@ -403,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_config_args(p, steps=False)
+    _add_config_args(p, train=False)
     _add_eval_args(p)
     p.add_argument("--sweep", nargs=2, metavar=("AXIS", "VALUES"),
                    help="sweep an axis, e.g. --sweep noise 0:0.6:7")

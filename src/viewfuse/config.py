@@ -9,8 +9,8 @@ matters.
 
 The fingerprint intentionally covers only what shapes the trained artifact:
 scene, model, and training sections (minus the step count, so a run can be
-extended in place). Evaluation knobs, the sharing mode, and the output
-directory can change without orphaning a checkpoint.
+extended in place). Evaluation knobs and the output directory can change
+without orphaning a checkpoint.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .model import ModelConfig
 from .scene import SceneConfig
 
 CONFIG_VERSION = 1
-
-SHARE_MODES = ("instance", "fullmap")
 
 
 class ConfigError(ValueError):
@@ -81,7 +79,6 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    share_mode: str = "instance"    # instance | fullmap
     out_dir: str = "runs/default"
 
     def validate(self) -> None:
@@ -90,9 +87,6 @@ class ExperimentConfig:
                 getattr(self, name).validate()
             except ValueError as e:
                 raise ConfigError(f"{name}: {e}") from None
-        if self.share_mode not in SHARE_MODES:
-            raise ConfigError(
-                f'share_mode: must be one of {SHARE_MODES}, got "{self.share_mode}"')
         if self.model.feat_c != self.scene.feat_c:
             raise ConfigError(
                 f"model.feat_c ({self.model.feat_c}) must match "
@@ -169,8 +163,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             continue
         if k in _SECTION_TYPES:
             kwargs[k] = _section_from_dict(_SECTION_TYPES[k], v, k)
-        elif k == "share_mode":
-            kwargs[k] = _coerce(v, "str", k)
         elif k == "out_dir":
             kwargs[k] = _coerce(v, "str", k)
     cfg = ExperimentConfig(**kwargs)
@@ -182,7 +174,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = {"version": CONFIG_VERSION}
     for name in _SECTIONS:
         d[name] = dataclasses.asdict(getattr(cfg, name))
-    d["share_mode"] = cfg.share_mode
     d["out_dir"] = cfg.out_dir
     return d
 
@@ -208,9 +199,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 def fingerprint(cfg: ExperimentConfig) -> str:
     """Stable 64-bit hex digest of the artifact-defining fields."""
     d = config_to_dict(cfg)
-    # share_mode maps to a collaboration flag, the same axis the ablation
-    # ladder varies under one fingerprint, so it stays out of the hash too
-    del d["eval"], d["out_dir"], d["share_mode"]
+    del d["eval"], d["out_dir"]
     del d["train"]["steps"]         # a longer schedule may resume in place
     blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

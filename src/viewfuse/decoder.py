@@ -233,22 +233,19 @@ class DetrDecoder:
         out.update(self.box_head.params())
         return out
 
-    def forward(self, fbev: Tensor, queries: Tensor,
-                spec: BevGridSpec,
-                anchors: np.ndarray | None = None) -> Predictions:
+    def forward(self, fbev: Tensor, queries: Tensor, spec: BevGridSpec,
+                anchors: np.ndarray) -> Predictions:
         fbev = as_tensor(fbev)
         q = as_tensor(queries)
         n_q = q.shape[0]
         inv_sqrt = 1.0 / math.sqrt(self.c)
         # reference points in normalized ego coords, decoded to grid cells;
         # anchors seed them spread over the field instead of all centered
-        ref = self.ref_init(q)
-        if anchors is not None:
-            anchors = np.asarray(anchors, dtype=np.float64)
-            if anchors.shape != (n_q, 2):
-                raise ValueError(f"anchors must be [{n_q}, 2], "
-                                 f"got {anchors.shape}")
-            ref = ref + Tensor(anchors)
+        anchors = np.asarray(anchors, dtype=np.float64)
+        if anchors.shape != (n_q, 2):
+            raise ValueError(f"anchors must be [{n_q}, 2], "
+                             f"got {anchors.shape}")
+        ref = self.ref_init(q) + Tensor(anchors)
         cell_scale = np.array([spec.grid_w / 2.0, spec.grid_h / 2.0])
         cell_shift = np.array([float(spec.grid_w // 2),
                                float(spec.grid_h // 2)])

@@ -154,14 +154,6 @@ def project_points(pts: np.ndarray, cam: CameraModel, agent_pose: Pose,
     return uv, fwd, valid
 
 
-def project_to_view(pt, cam: CameraModel, agent_pose: Pose,
-                    near_eps: float = NEAR_EPS):
-    """Single-point projection: returns (u, v, valid) in feature-map coords."""
-    uv, _, valid = project_points(np.asarray(pt, dtype=np.float64)[None, :],
-                                  cam, agent_pose, near_eps)
-    return float(uv[0, 0]), float(uv[0, 1]), bool(valid[0])
-
-
 def unproject_feature_to_optical(cam: CameraModel, u: float, v: float,
                                  depth: float = 1.0) -> np.ndarray:
     """Lift feature coords to the optical-frame plane at ``depth``.

@@ -73,12 +73,6 @@ class BevGridSpec:
 
 
 @dataclass
-class BevState:
-    q: Tensor                 # [C, H, W]
-    spec: BevGridSpec
-
-
-@dataclass
 class BevView:
     """One feature map the BEV queries may attend to.
 
@@ -233,21 +227,19 @@ def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
                         lambda g: (g[s.cell] * coef,))
 
 
-def ifa_block_forward(block: IfaBlock, state: BevState,
-                      views: list[BevView],
-                      lattice: BevGridSpec | None = None,
-                      sight: Sightings | None = None) -> BevState:
-    """Advance the BEV state through one aggregation block.
+def ifa_block_forward(block: IfaBlock, q: Tensor, views: list[BevView],
+                      spec: BevGridSpec,
+                      sight: Sightings | None = None) -> Tensor:
+    """Advance the [C, H, W] BEV queries through one aggregation block.
 
     All observed (height, view, cell) triples are sampled in one call and
     averaged per cell over views, then heights (see ``_view_height_mean``).
     Cells observed at no height keep their query value through the residual
-    path. ``sight`` is ``observe(views, lattice)``, found here when not given.
+    path. ``sight`` is ``observe(views, spec)``, found here when not given.
     """
-    spec = lattice if lattice is not None else state.spec
     sight = sight if sight is not None else observe(views, spec)
-    c, gh, gw = state.q.shape
-    qf = state.q.reshape(c, gh * gw).transpose()           # [HW, C]
+    c, gh, gw = q.shape
+    qf = q.reshape(c, gh * gw).transpose()                 # [HW, C]
     q1 = qf
     if sight.maps is not None:
         nq = layer_norm(qf, block.ln1_g, block.ln1_b)
@@ -255,16 +247,16 @@ def ifa_block_forward(block: IfaBlock, state: BevState,
                                  rows=sight.cell, view=sight.view)
         q1 = qf + _view_height_mean(f, sight)
     q2 = q1 + block.ffn(layer_norm(q1, block.ln2_g, block.ln2_b))
-    return BevState(q2.transpose().reshape(c, gh, gw), spec)
+    return q2.transpose().reshape(c, gh, gw)
 
 
-def ifa_cascade(state0: BevState, views: list[BevView],
-                lattice: BevGridSpec, blocks: list[IfaBlock]) -> Tensor:
+def ifa_cascade(q0: Tensor, views: list[BevView], spec: BevGridSpec,
+                blocks: list[IfaBlock]) -> Tensor:
     """Run the blocks in sequence; each output feeds the next as queries."""
     if not blocks:
         raise ValueError("cascade needs at least one block")
-    state = state0
-    sight = observe(views, lattice)
+    q = q0
+    sight = observe(views, spec)
     for block in blocks:
-        state = ifa_block_forward(block, state, views, lattice, sight)
-    return state.q
+        q = ifa_block_forward(block, q, views, spec, sight)
+    return q

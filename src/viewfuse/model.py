@@ -21,15 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .cdqa import (HybridQueries, PosEncoding, build_hybrid_queries,
-                   cone_encode, ground_anchor, instance_gap_encode)
+from .cdqa import (HybridQueries, build_hybrid_queries, cone_encode,
+                   ground_anchor, instance_gap_encode)
 from .comms import (CommLedger, InstanceMessage, crop_bounds, decode_message,
                     encode_message, foreground_mask, fullmap_message,
                     reconstruct_view, select_messages)
 from .decoder import BoxCodec, DetrDecoder, LossWeights, Predictions, set_loss
 from .geometry import (Pose, apply_pose, apply_pose_noise, camera_in_frame,
                        invert, normalize_angle, relative_pose)
-from .ifa import BevGridSpec, BevState, BevView, IfaBlock, ifa_cascade
+from .ifa import BevGridSpec, BevView, IfaBlock, ifa_cascade
 from .scene import (GtBox, Instance2D, Scene, agent_visibility,
                     detect_instances_2d, render_view_features)
 from .tensor import Adam, Mlp, Tensor
@@ -72,7 +72,6 @@ class ModelConfig:
     n_q: int = 64
     n_dec_layers: int = 3
     dec_n_da: int = 4
-    pos_encoding: str = "cone"      # none | learned | cone
     c_thre: float = 0.2
     vis_min: float = 0.05           # GT kept if some agent sees this fraction
     w_cls: float = 1.0
@@ -84,7 +83,6 @@ class ModelConfig:
         if min(self.n_blocks, self.n_q, self.n_dec_layers,
                self.n_da, self.dec_n_da) < 1:
             raise ValueError("block, query and layer counts must be positive")
-        PosEncoding(self.pos_encoding)
         if not (0.0 <= self.c_thre <= 1.0):
             raise ValueError("c_thre must be in [0, 1]")
         # grid fields are validated by the spec constructor
@@ -125,7 +123,6 @@ class PipelineModel:
         self.spec = cfg.grid_spec()
         self.codec = BoxCodec.from_grid(self.spec)
         self.weights = LossWeights(w_cls=cfg.w_cls, w_box=cfg.w_box)
-        self.pos = PosEncoding(cfg.pos_encoding)
         self.enc = Mlp([cfg.feat_c, cfg.enc_hidden, cfg.c], rng, name="enc")
         self.q0 = Tensor(rng.normal(0.0, 0.1, (cfg.c, cfg.grid_h, cfg.grid_w)),
                          requires_grad=True)
@@ -133,8 +130,8 @@ class PipelineModel:
                        for i in range(cfg.n_blocks)]
         self.gap = Mlp([cfg.c, cfg.c, cfg.c], rng, name="gap")
         self.cone = Mlp([9, cfg.c, cfg.c], rng, name="cone")
-        self.pos_learned = Tensor(rng.normal(0.0, 0.1, cfg.c),
-                                  requires_grad=True)
+        # unused draw, so every later parameter keeps its seeded init
+        rng.normal(0.0, 0.1, cfg.c)
         self.qtable = Tensor(rng.normal(0.0, 0.1, (cfg.n_q, cfg.c)),
                              requires_grad=True)
         # fixed reference-point seeds: learned queries tile the field so
@@ -157,7 +154,6 @@ class PipelineModel:
                     raise RuntimeError(f"duplicate parameter name {k}")
                 out[k] = v
         out["q0"] = self.q0
-        out["pos_learned"] = self.pos_learned
         out["qtable"] = self.qtable
         return out
 
@@ -274,14 +270,8 @@ def _adapt_queries(model: PipelineModel, shared: list[SharedInstance],
                           confidence=m.confidence, obj_id=-1,
                           agent_id=m.agent_id, view_id=m.view_id)
         cam_pose = camera_in_frame(rec.cam, rec.agent_pose_in_ego)
-        # the positional prior is part of the cone geometry, so only the
-        # cone encoding gets to seed its reference point from it
-        ga = None
-        if model.pos is PosEncoding.CONE:
-            q = q + cone_encode(inst, rec.cam, cam_pose, model.cone)
-            ga = ground_anchor(inst, rec.cam, cam_pose)
-        elif model.pos is PosEncoding.LEARNED:
-            q = q + model.pos_learned
+        q = q + cone_encode(inst, rec.cam, cam_pose, model.cone)
+        ga = ground_anchor(inst, rec.cam, cam_pose)
         if ga is None:
             inst_anchors.append(None)
         else:
@@ -289,9 +279,8 @@ def _adapt_queries(model: PipelineModel, shared: list[SharedInstance],
                 float(np.clip(ga[0] / codec.x_scale, -1.0, 1.0)),
                 float(np.clip(ga[1] / codec.y_scale, -1.0, 1.0))))
         encoded.append((q, float(m.confidence)))
-    return build_hybrid_queries(encoded, model.qtable,
-                                instance_anchors=inst_anchors,
-                                learned_anchors=model.anchor_grid)
+    return build_hybrid_queries(encoded, model.qtable, inst_anchors,
+                                model.anchor_grid)
 
 
 def model_forward(model: PipelineModel, scene: Scene,
@@ -340,33 +329,27 @@ def model_forward(model: PipelineModel, scene: Scene,
                     views.append(view)
                 shared.extend(recs)
     queries = _adapt_queries(model, shared, flags)
-    state0 = BevState(q=model.q0, spec=model.spec)
-    fbev = ifa_cascade(state0, views, model.spec, model.blocks)
-    preds = model.dec.forward(fbev, queries.q, model.spec,
-                              anchors=queries.anchors)
+    fbev = ifa_cascade(model.q0, views, model.spec, model.blocks)
+    preds = model.dec.forward(fbev, queries.q, model.spec, queries.anchors)
     return ForwardResult(preds=preds, queries=queries, fbev=fbev,
                          ledger=ledger, views=views, shared=shared,
                          believed=believed)
 
 
 def ego_frame_targets(scene: Scene, spec: BevGridSpec,
-                      vis_min: float = 0.05,
-                      agents: list[int] | None = None) -> list[GtBox]:
-    """GT boxes inside the grid, seen by at least one listed agent.
+                      vis_min: float = 0.05) -> list[GtBox]:
+    """GT boxes inside the grid, seen by at least one agent of the scene.
 
-    Boxes come back in the ego frame. ``agents`` defaults to every agent in
-    the scene; sweeps that truncate the roster pass the full-roster targets
-    explicitly so the task stays fixed across sweep points.
+    Boxes come back in the ego frame.
     """
-    if agents is None:
-        agents = list(range(len(scene.agents)))
     ego = scene.ego.pose
     w2e = invert(ego)
     half_x = spec.grid_w // 2 * spec.resolution
     half_y = spec.grid_h // 2 * spec.resolution
     out = []
     for b in scene.boxes:
-        vis = max(agent_visibility(scene, a, b.obj_id) for a in agents)
+        vis = max(agent_visibility(scene, a, b.obj_id)
+                  for a in range(len(scene.agents)))
         if vis < vis_min:
             continue
         p = apply_pose(w2e, np.array([[b.x, b.y, b.z]]))[0]

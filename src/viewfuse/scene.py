@@ -274,13 +274,6 @@ def rasterize_view(scene: Scene, agent_idx: int, view_idx: int) -> ViewRaster:
     return raster
 
 
-def visible_fraction(scene: Scene, agent_idx: int, view_idx: int, obj_id: int) -> float:
-    br = rasterize_view(scene, agent_idx, view_idx).boxes.get(obj_id)
-    if br is None or br.footprint == 0:
-        return 0.0
-    return br.visible / br.footprint
-
-
 def agent_visibility(scene: Scene, agent_idx: int, obj_id: int) -> float:
     """Visible / footprint cells pooled over the agent's valid views."""
     vis = 0
@@ -371,8 +364,7 @@ class Instance2D:
 
 
 def detect_instances_2d(scene: Scene, agent_idx: int, view_idx: int,
-                        mode: str = "train",
-                        rng: np.random.Generator | None = None) -> list[Instance2D]:
+                        mode: str = "train") -> list[Instance2D]:
     """Ground-truth-driven 2-D boxes with visible-area confidence.
 
     ``train`` returns exact projected boxes; ``infer`` jitters coordinates and
@@ -385,7 +377,7 @@ def detect_instances_2d(scene: Scene, agent_idx: int, view_idx: int,
     if not scene.agents[agent_idx].view_valid[view_idx]:
         return []
     raster = rasterize_view(scene, agent_idx, view_idx)
-    if mode == "infer" and rng is None:
+    if mode == "infer":
         rng = np.random.default_rng(
             np.random.SeedSequence([scene.seed, TAG_DETECTOR, agent_idx, view_idx]))
     out: list[Instance2D] = []

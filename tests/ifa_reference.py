@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from viewfuse.geometry import project_points
-from viewfuse.ifa import BevState
 from viewfuse.tensor import (Tensor, as_tensor, bilinear_sample, layer_norm,
                              softmax)
 
@@ -96,11 +95,11 @@ def _scatter_rows(x: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
     return Tensor._make(out, (x,), lambda g: (g[idx],))
 
 
-def reference_block_forward(block, state: BevState, views, spec) -> BevState:
+def reference_block_forward(block, q: Tensor, views, spec) -> Tensor:
     """One aggregation block, one sampling call per (height, view)."""
-    c, gh, gw = state.q.shape
+    c, gh, gw = q.shape
     hw = gh * gw
-    qf = state.q.reshape(c, hw).transpose()
+    qf = q.reshape(c, hw).transpose()
     nq = layer_norm(qf, block.ln1_g, block.ln1_b)
     off, wts = offsets_and_weights(block, nq)
     refs = spec.reference_points()
@@ -142,4 +141,4 @@ def reference_block_forward(block, state: BevState, views, spec) -> BevState:
         h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
         q1 = qf + h_sum * h_inv[:, None]
     q2 = q1 + block.ffn(layer_norm(q1, block.ln2_g, block.ln2_b))
-    return BevState(q2.transpose().reshape(c, gh, gw), spec)
+    return q2.transpose().reshape(c, gh, gw)

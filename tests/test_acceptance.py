@@ -1,8 +1,8 @@
 """Acceptance gate: exactness and oracle-equivalence checks.
 
 The trend gate (fused beats no-collaboration, late fusion in between,
-trained on the seeded default benchmark) is pending; ROADMAP item 3 tracks
-it, and the ``slow`` marker is reserved for it.
+trained on the seeded default benchmark) is pending; ROADMAP's "The
+executed trend gate" tracks it, and the ``slow`` marker is reserved for it.
 """
 
 import itertools
@@ -27,8 +27,7 @@ from viewfuse.decoder import (BoxCodec, Predictions, hungarian_match,
                               set_loss)
 from viewfuse.eval import average_precision, rotated_iou_bev
 from viewfuse.geometry import CameraModel, Pose, project_points
-from viewfuse.ifa import (BevGridSpec, BevState, BevView, IfaBlock,
-                          ifa_cascade)
+from viewfuse.ifa import BevGridSpec, BevView, IfaBlock, ifa_cascade
 from viewfuse.model import FLAGS_FULL, model_forward
 from viewfuse.scene import GtBox, generate_scene
 from viewfuse.tensor import Tensor
@@ -72,8 +71,8 @@ def _ifa_block_case(rng):
         block.ln2_b = by_name[f"{block.name}.ln2_b"]
         view = BevView(features=f, cam=cam, agent_pose_in_ego=Pose(),
                        agent_id=0, view_id=0)
-        out = ifa_block_forward(block, BevState(q, spec), [view], spec)
-        return (out.q * Tensor(w_out)).sum()
+        out = ifa_block_forward(block, q, [view], spec)
+        return (out * Tensor(w_out)).sum()
 
     inputs = [q0, f0] + [block.params()[n].data.copy() for n in names]
     return build, inputs
@@ -217,9 +216,8 @@ def test_collaborator_permutation_leaves_fused_features_unchanged():
         rng = np.random.default_rng(i)
         views = list(fr.views)
         shuffled = [views[j] for j in rng.permutation(len(views))]
-        state0 = BevState(q=model.q0, spec=model.spec)
-        base = ifa_cascade(state0, views, model.spec, model.blocks)
-        perm = ifa_cascade(state0, shuffled, model.spec, model.blocks)
+        base = ifa_cascade(model.q0, views, model.spec, model.blocks)
+        perm = ifa_cascade(model.q0, shuffled, model.spec, model.blocks)
         worst = max(worst, float(np.max(np.abs(base.data - perm.data))))
     assert worst < 1e-9
 
@@ -253,8 +251,7 @@ def test_unobserved_cells_are_bit_identical_under_view_corruption():
         fr = model_forward(model, scene, FLAGS_FULL, wire=True,
                            detector_mode="infer")
         views = list(fr.views)
-        state0 = BevState(q=model.q0, spec=model.spec)
-        base = ifa_cascade(state0, views, model.spec, model.blocks).data
+        base = ifa_cascade(model.q0, views, model.spec, model.blocks).data
         rng = np.random.default_rng(i)
         k = int(rng.integers(0, len(views)))
         target = views[k]
@@ -269,7 +266,7 @@ def test_unobserved_cells_are_bit_identical_under_view_corruption():
             agent_id=target.agent_id, view_id=target.view_id,
             valid=target.valid, mask=target.mask)
         other = [wrecked if j == k else v for j, v in enumerate(views)]
-        out = ifa_cascade(state0, other, model.spec, model.blocks).data
+        out = ifa_cascade(model.q0, other, model.spec, model.blocks).data
         c = base.shape[0]
         flat_base = base.reshape(c, -1)[:, untouched]
         flat_out = out.reshape(c, -1)[:, untouched]

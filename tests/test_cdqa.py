@@ -147,37 +147,54 @@ def test_gap_and_cone_paths_differentiable():
 def test_hybrid_empty_is_learned_table():
     rng = np.random.default_rng(3)
     learned = Tensor(rng.normal(size=(6, 4)))
-    hq = build_hybrid_queries([], learned)
+    grid = rng.uniform(-1.0, 1.0, (6, 2))
+    hq = build_hybrid_queries([], learned, [], grid)
     assert hq.n_instance == 0
     np.testing.assert_array_equal(hq.q.data, learned.data)
+    np.testing.assert_array_equal(hq.anchors, grid)
 
 
 def test_hybrid_fill_and_overflow():
     rng = np.random.default_rng(4)
     n_q, c = 5, 3
     learned = Tensor(rng.normal(size=(n_q, c)))
+    grid = np.arange(2.0 * n_q).reshape(n_q, 2)
+    grid0 = grid.copy()
 
+    # instance anchors replace their rows' seeds; None keeps the learned seed
     vecs = [Tensor(np.full(c, float(i))) for i in range(3)]
-    hq = build_hybrid_queries([(v, 0.5) for v in vecs], learned)
+    hq = build_hybrid_queries([(v, 0.5) for v in vecs], learned,
+                              [(0.5, -0.5), None, (0.25, 0.25)], grid)
     assert hq.q.shape == (n_q, c)
     assert hq.n_instance == 3
     for i in range(3):
         np.testing.assert_array_equal(hq.q.data[i], np.full(c, float(i)))
     np.testing.assert_array_equal(hq.q.data[3:], learned.data[3:])
+    np.testing.assert_array_equal(
+        hq.anchors, [[0.5, -0.5], grid[1], [0.25, 0.25], grid[3], grid[4]])
 
     # exactly full
     full = [(Tensor(np.full(c, float(i))), 0.9) for i in range(n_q)]
-    hq2 = build_hybrid_queries(full, learned)
+    hq2 = build_hybrid_queries(full, learned, [None] * n_q, grid)
     assert hq2.n_instance == n_q
     np.testing.assert_array_equal(hq2.q.data[-1], np.full(c, float(n_q - 1)))
+    np.testing.assert_array_equal(hq2.anchors, grid)
 
-    # overflow by three: confidences 0.1..0.8, the three lowest go
+    # overflow by three: confidences 0.1..0.8, the three lowest go, and
+    # their anchors with them
     over = [(Tensor(np.full(c, float(i))), 0.1 * (i + 1)) for i in range(8)]
-    hq3 = build_hybrid_queries(over, learned)
+    hq3 = build_hybrid_queries(over, learned,
+                               [(float(i), -float(i)) for i in range(8)], grid)
     assert hq3.n_instance == n_q
     np.testing.assert_array_equal(hq3.q.data[:, 0], [3.0, 4.0, 5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(hq3.anchors[:, 0], [3.0, 4.0, 5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(grid, grid0)
 
 
 def test_hybrid_row_budget_validation():
-    with pytest.raises(ValueError):
-        HybridQueries(q=Tensor(np.zeros((4, 2))), n_instance=5)
+    with pytest.raises(ValueError, match="instance rows"):
+        HybridQueries(q=Tensor(np.zeros((4, 2))), n_instance=5,
+                      anchors=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="anchor"):
+        HybridQueries(q=Tensor(np.zeros((4, 2))), n_instance=0,
+                      anchors=np.zeros((3, 2)))

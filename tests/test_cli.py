@@ -100,6 +100,16 @@ def test_fingerprint_ignores_schedule_length_and_eval(tmp_path):
     assert fingerprint(wider) != fingerprint(base)
 
 
+def test_config_keys_match_formats_doc():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    section = doc[doc.index("## Experiment config"):]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    d = config_to_dict(ExperimentConfig())
+    assert set(example) == set(d)
+    for name in ("train", "eval"):      # the sections the doc spells out
+        assert set(example[name]) == set(d[name])
+
+
 def test_train_and_eval_seed_ranges_must_not_overlap(tmp_path):
     d = cfg_dict(tmp_path / "a", train={"scene_seed0": 100},
                  eval={"scene_seed0": 102})
@@ -203,17 +213,38 @@ def test_eval_rejects_cdqa_without_ifa(trained, capsys):
     assert "ifa" in capsys.readouterr().err
 
 
-def test_share_mode_fullmap_costs_more(trained, tmp_path, capsys):
+def test_fullmap_flags_cost_more(trained, tmp_path, capsys):
+    # full-map pricing is the fused pipeline with the mask flag off
     cp, run = trained
     assert main(["eval", "--config", str(cp)]) == 0
     masked = json.loads((run / "report_fused.jsonl").read_text().splitlines()[-1])
-    assert main(["eval", "--config", str(cp), "--share-mode", "fullmap",
+    assert main(["eval", "--config", str(cp), "--flags", "ifa,cdqa",
                  "--checkpoint", str(run / "checkpoint.npz"),
                  "--out", str(tmp_path / "fm")]) == 0
     capsys.readouterr()
     full = json.loads(
         (tmp_path / "fm" / "report_fused.jsonl").read_text().splitlines()[-1])
     assert full["total_bytes"] > masked["total_bytes"]
+
+
+def test_eval_c_thre_is_the_sweep_point(trained, tmp_path, capsys):
+    # eval --c-thre moves the share threshold of this evaluation only; the
+    # checkpoint, trained at model.c_thre, still matches the config
+    cp, run = trained
+
+    def records(name, *extra):
+        assert main(["eval", "--config", str(cp), "--out", str(tmp_path / name),
+                     "--checkpoint", str(run / "checkpoint.npz"), *extra]) == 0
+        capsys.readouterr()
+        report, = (tmp_path / name).glob("report_*.jsonl")
+        return [json.loads(line) for line in report.read_text().splitlines()]
+
+    base = records("base")
+    one = records("one", "--c-thre", "0.95")
+    swept = records("sw", "--sweep", "c_thre", "0.95")
+    assert one[:-1] == swept[:-1]
+    assert one[-1]["fingerprint"] == fingerprint(load_config(cp))
+    assert one[-1]["total_bytes"] < base[-1]["total_bytes"]
 
 
 # ---- sweep ----
@@ -394,7 +425,7 @@ def test_parser_rejects_options_that_change_no_output(capsys):
     parse = build_parser().parse_args
     for argv in (["gen-scenes", "s.jsonl", "--out", "x"],
                  ["gen-scenes", "s.jsonl", "--c-thre", "0.5"],
-                 ["gen-scenes", "s.jsonl", "--share-mode", "fullmap"],
+                 ["train", "--share-mode", "fullmap"],
                  ["eval", "--steps", "5"]):
         with pytest.raises(SystemExit) as e:
             parse(argv)

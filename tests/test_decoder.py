@@ -183,8 +183,11 @@ def test_decoder_shapes_determinism_and_gradients():
     dec = DetrDecoder(c=c, n_layers=2, n_da=2, rng=rng)
     fbev = Tensor(rng.normal(size=(c, 8, 8)), requires_grad=True)
     queries = Tensor(rng.normal(size=(n_q, c)), requires_grad=True)
-    p1 = dec.forward(fbev, queries, spec)
-    p2 = dec.forward(fbev, queries, spec)
+    anchors = rng.uniform(-0.8, 0.8, (n_q, 2))
+    p1 = dec.forward(fbev, queries, spec, anchors)
+    p2 = dec.forward(fbev, queries, spec, anchors)
+    with pytest.raises(ValueError, match="anchors"):
+        dec.forward(fbev, queries, spec, anchors[:-1])
     np.testing.assert_array_equal(p1.cls_logits.data, p2.cls_logits.data)
     np.testing.assert_array_equal(p1.box_vec.data, p2.box_vec.data)
     assert p1.cls_logits.shape == (n_q, 1)
@@ -207,7 +210,8 @@ def test_decode_rows_contract():
     spec = BevGridSpec(grid_h=8, grid_w=8)
     dec = DetrDecoder(c=c, n_layers=1, n_da=2, rng=rng)
     pred = dec.forward(Tensor(rng.normal(size=(c, 8, 8))),
-                       Tensor(rng.normal(size=(n_q, c))), spec)
+                       Tensor(rng.normal(size=(n_q, c))), spec,
+                       np.zeros((n_q, 2)))
     rows = decoded_rows(pred, BoxCodec.from_grid(spec))
     assert rows.shape == (n_q, 8)
     assert np.all((rows[:, 0] >= 0.0) & (rows[:, 0] <= 1.0))

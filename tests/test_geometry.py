@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from viewfuse.geometry import (
     CameraModel, Pose, apply_pose, apply_pose_noise, camera_in_frame,
     clip_convex, compose, invert, normalize_angle, polygon_area,
-    project_points, project_to_view, rect_corners, rects_overlap,
+    project_points, rect_corners, rects_overlap,
     relative_pose, unproject_feature_to_optical, optical_to_local,
 )
 
@@ -140,25 +140,25 @@ def test_camera_stride_validation():
 
 def test_optical_axis_point_hits_principal_point():
     cam = make_cam()
-    u, v, ok = project_to_view(np.array([5.0, 0.0, 1.4]), cam, Pose())
-    assert ok
-    assert u == pytest.approx(cam.cx / cam.stride)
-    assert v == pytest.approx(cam.cy / cam.stride)
+    uv, _, ok = project_points(np.array([[5.0, 0.0, 1.4]]), cam, Pose())
+    assert ok[0]
+    assert uv[0, 0] == pytest.approx(cam.cx / cam.stride)
+    assert uv[0, 1] == pytest.approx(cam.cy / cam.stride)
 
 
 def test_point_behind_camera_invalid():
     cam = make_cam()
-    _, _, ok = project_to_view(np.array([-5.0, 0.0, 1.4]), cam, Pose())
-    assert not ok
+    _, _, ok = project_points(np.array([[-5.0, 0.0, 1.4]]), cam, Pose())
+    assert not ok[0]
 
 
 def test_point_outside_frustum_invalid():
     cam = make_cam()
     # 90 degree horizontal FOV: lateral offset beyond +-depth falls outside
-    _, _, ok = project_to_view(np.array([5.0, 5.1, 1.4]), cam, Pose())
-    assert not ok
-    _, _, ok2 = project_to_view(np.array([5.0, 4.9, 1.4]), cam, Pose())
-    assert ok2
+    _, _, ok = project_points(np.array([[5.0, 5.1, 1.4], [5.0, 4.9, 1.4]]),
+                              cam, Pose())
+    assert not ok[0]
+    assert ok[1]
 
 
 def projection_matrix_oracle(cam: CameraModel, cam_world: Pose) -> np.ndarray:
@@ -192,15 +192,14 @@ def test_projection_equivariance_across_frames():
     cam = make_cam(yaw=0.3)
     agent_in_ego = Pose(2.0, 1.0, 0.0, 0.7)
     pt_ego = np.array([6.0, 2.0, 1.0])
-    u1, v1, ok1 = project_to_view(pt_ego, cam, agent_in_ego)
+    uv1, _, ok1 = project_points(pt_ego, cam, agent_in_ego)
 
     shift = Pose(-3.0, 5.0, 0.0, 1.1)
     agent_in_other = compose(shift, agent_in_ego)
     pt_other = apply_pose(shift, pt_ego)
-    u2, v2, ok2 = project_to_view(pt_other, cam, agent_in_other)
+    uv2, _, ok2 = project_points(pt_other, cam, agent_in_other)
     assert ok1 == ok2
-    assert u1 == pytest.approx(u2, abs=1e-9)
-    assert v1 == pytest.approx(v2, abs=1e-9)
+    np.testing.assert_allclose(uv1, uv2, atol=1e-9)
 
 
 def test_unproject_roundtrip():
@@ -209,10 +208,9 @@ def test_unproject_roundtrip():
     np.testing.assert_allclose(opt[2], 1.0)
     local = optical_to_local(opt)
     world = apply_pose(camera_in_frame(cam, Pose()), local)
-    u, v, ok = project_to_view(world, cam, Pose())
+    uv, _, ok = project_points(world, cam, Pose())
     assert ok
-    assert u == pytest.approx(10.0, abs=1e-9)
-    assert v == pytest.approx(5.0, abs=1e-9)
+    np.testing.assert_allclose(uv, [10.0, 5.0], atol=1e-9)
 
 
 # ---- polygons ----

@@ -11,7 +11,6 @@ from viewfuse.geometry import (CameraModel, Pose, apply_pose_noise,
                                project_points, relative_pose)
 from viewfuse.ifa import (
     BevGridSpec,
-    BevState,
     BevView,
     IfaBlock,
     ifa_block_forward,
@@ -141,13 +140,12 @@ def test_block_zero_views_is_identity():
     block = IfaBlock(c=5, n_da=3, rng=rng)
     spec = BevGridSpec(grid_h=6, grid_w=6)
     q0 = rng.normal(size=(5, 6, 6))
-    state = BevState(Tensor(q0), spec)
-    out = ifa_block_forward(block, state, [])
-    np.testing.assert_array_equal(out.q.data, q0)
+    out = ifa_block_forward(block, Tensor(q0), [], spec)
+    np.testing.assert_array_equal(out.data, q0)
     # invalid views are skipped the same way
     dead = _view(rng.normal(size=(5, 20, 32)), valid=False)
-    out2 = ifa_block_forward(block, state, [dead])
-    np.testing.assert_array_equal(out2.q.data, q0)
+    out2 = ifa_block_forward(block, Tensor(q0), [dead], spec)
+    np.testing.assert_array_equal(out2.data, q0)
 
 
 def test_block_constant_view_gives_uniform_update():
@@ -159,8 +157,8 @@ def test_block_constant_view_gives_uniform_update():
     cam = _ring_cam()
     view = _view(np.tile(const[:, None, None], (1, cam.feat_h, cam.feat_w)))
     q0 = rng.normal(size=(c, spec.grid_h, spec.grid_w))
-    out = ifa_block_forward(block, BevState(Tensor(q0), spec), [view], spec)
-    delta = (out.q.data - q0).reshape(c, -1).T
+    out = ifa_block_forward(block, Tensor(q0), [view], spec)
+    delta = (out.data - q0).reshape(c, -1).T
 
     refs = spec.reference_points()
     qualifies = None
@@ -193,11 +191,11 @@ def test_block_permutation_invariant():
              _view(rng.normal(size=(c, 20, 32)), yaw=0.3, agent_id=1, view_id=0,
                    pose=Pose(x=2.0, y=-1.0, yaw=0.3))]
     q0 = rng.normal(size=(c, 16, 16))
-    ref = ifa_block_forward(block, BevState(Tensor(q0), spec), views, spec)
+    ref = ifa_block_forward(block, Tensor(q0), views, spec)
     for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-        got = ifa_block_forward(block, BevState(Tensor(q0), spec),
+        got = ifa_block_forward(block, Tensor(q0),
                                 [views[i] for i in perm], spec)
-        np.testing.assert_array_equal(got.q.data, ref.q.data)
+        np.testing.assert_array_equal(got.data, ref.data)
 
 
 def test_block_ignores_views_that_observe_nothing():
@@ -207,21 +205,21 @@ def test_block_ignores_views_that_observe_nothing():
     spec = BevGridSpec(grid_h=16, grid_w=16)
     front = _view(rng.normal(size=(c, 20, 32)))
     q0 = rng.normal(size=(c, 16, 16))
-    base = ifa_block_forward(block, BevState(Tensor(q0), spec), [front], spec)
+    base = ifa_block_forward(block, Tensor(q0), [front], spec)
 
     # a camera a kilometre away: every reference point projects invalid
     far = _view(rng.normal(size=(c, 20, 32)), agent_id=1,
                 pose=Pose(x=1000.0, yaw=0.0))
-    with_far = ifa_block_forward(block, BevState(Tensor(q0), spec),
+    with_far = ifa_block_forward(block, Tensor(q0),
                                  [front, far], spec)
-    np.testing.assert_array_equal(with_far.q.data, base.q.data)
+    np.testing.assert_array_equal(with_far.data, base.data)
 
     # and a masked-out view contributes nothing even when it projects fine
     hollow = _view(rng.normal(size=(c, 20, 32)), agent_id=1,
                    mask=np.zeros((20, 32), dtype=bool))
-    with_hollow = ifa_block_forward(block, BevState(Tensor(q0), spec),
+    with_hollow = ifa_block_forward(block, Tensor(q0),
                                     [front, hollow], spec)
-    np.testing.assert_array_equal(with_hollow.q.data, base.q.data)
+    np.testing.assert_array_equal(with_hollow.data, base.data)
 
 
 def test_block_mask_gates_observation_count():
@@ -236,13 +234,13 @@ def test_block_mask_gates_observation_count():
     shut_view = _view(other_feats, agent_id=1,
                       mask=np.zeros((20, 32), dtype=bool))
     q0 = rng.normal(size=(c, 8, 8))
-    alone = ifa_block_forward(block, BevState(Tensor(q0), spec), [full], spec)
-    with_shut = ifa_block_forward(block, BevState(Tensor(q0), spec),
+    alone = ifa_block_forward(block, Tensor(q0), [full], spec)
+    with_shut = ifa_block_forward(block, Tensor(q0),
                                   [full, shut_view], spec)
-    with_open = ifa_block_forward(block, BevState(Tensor(q0), spec),
+    with_open = ifa_block_forward(block, Tensor(q0),
                                   [full, open_view], spec)
-    np.testing.assert_array_equal(with_shut.q.data, alone.q.data)
-    assert not np.array_equal(with_open.q.data, alone.q.data)
+    np.testing.assert_array_equal(with_shut.data, alone.data)
+    assert not np.array_equal(with_open.data, alone.data)
 
 
 def test_block_second_viewpoint_changes_only_its_cells():
@@ -254,15 +252,15 @@ def test_block_second_viewpoint_changes_only_its_cells():
     b = _view(rng.normal(size=(c, 20, 32)), yaw=math.pi, agent_id=1,
               pose=Pose(yaw=math.pi))
     q0 = rng.normal(size=(c, 16, 16))
-    base = ifa_block_forward(block, BevState(Tensor(q0), spec), [a], spec)
-    both = ifa_block_forward(block, BevState(Tensor(q0), spec), [a, b], spec)
+    base = ifa_block_forward(block, Tensor(q0), [a], spec)
+    both = ifa_block_forward(block, Tensor(q0), [a, b], spec)
 
     seen_b = np.zeros(spec.grid_h * spec.grid_w, dtype=bool)
     refs = spec.reference_points()
     for h in range(spec.n_ref):
         _, _, ok = project_points(refs[h], b.cam, b.agent_pose_in_ego)
         seen_b |= ok
-    diff = np.abs(both.q.data - base.q.data).reshape(c, -1).sum(axis=0)
+    diff = np.abs(both.data - base.data).reshape(c, -1).sum(axis=0)
     assert diff[seen_b].max() > 1e-6
     np.testing.assert_array_equal(diff[~seen_b], 0.0)
 
@@ -301,8 +299,8 @@ def test_full_block_gradients_against_finite_differences():
         block.ln2_b = by_name[f"{block.name}.ln2_b"]
         view = BevView(features=f, cam=cam, agent_pose_in_ego=Pose(),
                        agent_id=0, view_id=0)
-        out = ifa_block_forward(block, BevState(q, spec), [view], spec)
-        return (out.q * Tensor(w_out)).sum()
+        out = ifa_block_forward(block, q, [view], spec)
+        return (out * Tensor(w_out)).sum()
 
     inputs = [q0, f0] + [block.params()[n].data.copy() for n in names]
     check_scalar_fn(build, inputs, tol=1e-4)
@@ -349,8 +347,7 @@ def test_block_bit_identical_to_per_view_reference():
         q = Tensor(q0, requires_grad=True)
         for t in leaves:
             t.zero_grad()
-        out = forward(block, BevState(q, spec), [views[i] for i in order],
-                      spec).q
+        out = forward(block, q, [views[i] for i in order], spec)
         (out * Tensor(w_out)).sum().backward()
         grads = [q.grad] + [t.grad for t in leaves]
         return out.data, grads
@@ -379,13 +376,13 @@ def test_cascade_composition():
     view = _view(rng.normal(size=(c, 20, 32)))
     q0 = Tensor(rng.normal(size=(c, 8, 8)))
 
-    one = ifa_cascade(BevState(q0, spec), [view], spec, blocks[:1])
-    manual = ifa_block_forward(blocks[0], BevState(q0, spec), [view], spec)
-    np.testing.assert_array_equal(one.data, manual.q.data)
+    one = ifa_cascade(q0, [view], spec, blocks[:1])
+    manual = ifa_block_forward(blocks[0], q0, [view], spec)
+    np.testing.assert_array_equal(one.data, manual.data)
 
-    two = ifa_cascade(BevState(q0, spec), [view], spec, blocks)
+    two = ifa_cascade(q0, [view], spec, blocks)
     manual2 = ifa_block_forward(blocks[1], manual, [view], spec)
-    np.testing.assert_array_equal(two.data, manual2.q.data)
+    np.testing.assert_array_equal(two.data, manual2.data)
 
     with pytest.raises(ValueError):
-        ifa_cascade(BevState(q0, spec), [view], spec, [])
+        ifa_cascade(q0, [view], spec, [])

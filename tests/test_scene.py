@@ -18,7 +18,7 @@ from viewfuse.scene import (
     GenerationError, GtBox, Scene, SceneConfig, agent_visibility,
     convex_hull_2d, detect_instances_2d, ego_visibility, generate_scene,
     make_ring_rig, object_signature, render_raw, rasterize_view,
-    scene_from_dict, scene_to_dict, truncate_scene, visible_fraction,
+    scene_from_dict, scene_to_dict, truncate_scene,
     _cells_in_hull,
 )
 
@@ -137,7 +137,7 @@ def test_single_box_footprint_exact():
     assert br.visible == 25
     assert raster.owner[11, 16] == 0
     assert raster.owner[1, 1] == -1
-    assert visible_fraction(scene, 0, 0, 0) == 1.0
+    assert agent_visibility(scene, 0, 0) == 1.0
 
 
 def test_full_occlusion_overwrites_far_box():
@@ -148,6 +148,7 @@ def test_full_occlusion_overwrites_far_box():
     assert raster.boxes[0].footprint == 63 and raster.boxes[0].visible == 63
     assert raster.boxes[1].footprint == 9 and raster.boxes[1].visible == 0
     assert not np.any(raster.owner == 1)
+    assert agent_visibility(scene, 0, 1) == 0.0
     dets = detect_instances_2d(scene, 0, 0, mode="train")
     assert [d.obj_id for d in dets] == [0]
     assert dets[0].confidence == 1.0
@@ -161,6 +162,8 @@ def test_partial_occlusion_confidence_fraction():
     assert 0 < br.visible < br.footprint
     det = [d for d in detect_instances_2d(scene, 0, 0, mode="train") if d.obj_id == 1]
     assert det and det[0].confidence == pytest.approx(br.visible / br.footprint)
+    # only view 0 sees either box, so the agent's pooled fraction is view 0's
+    assert agent_visibility(scene, 0, 1) == br.visible / br.footprint
     oracle = oracle_owner_map(scene, 0, 0)
     assert br.visible == int((oracle == 1).sum())
 
