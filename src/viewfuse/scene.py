@@ -417,55 +417,73 @@ AGENT_CLEAR_L = 5.6
 CAR_RADIUS_MAX = math.hypot(CAR_W[1], CAR_L[1]) / 2.0
 
 
-def _sample_box(rng, obj_id, x, y, yaw, kind) -> GtBox:
+def _agent_rect(pose: Pose) -> np.ndarray:
+    return rect_corners(pose.x, pose.y, AGENT_CLEAR_W, AGENT_CLEAR_L, pose.yaw)
+
+
+class _Placed:
+    """A box under placement, with its BEV corners and radius computed once.
+
+    ``corners`` feeds ``rects_overlap``; ``pts``, the same corners as Python
+    floats, feeds the bearing spans.
+    """
+
+    __slots__ = ("box", "corners", "pts", "radius")
+
+    def __init__(self, box: GtBox):
+        self.box = box
+        self.corners = box.corners_bev()
+        self.pts = self.corners.tolist()
+        self.radius = math.hypot(box.w, box.l) / 2.0
+
+
+def _sample_box(rng, obj_id, x, y, yaw, kind) -> _Placed:
     w_rng, l_rng, h_rng = (CAR_W, CAR_L, CAR_H) if kind == "car" else (TRUCK_W, TRUCK_L, TRUCK_H)
     w = rng.uniform(*w_rng)
     l = rng.uniform(*l_rng)
     h = rng.uniform(*h_rng)
-    return GtBox(obj_id=obj_id, x=_snap(x), y=_snap(y), z=h / 2.0, w=w, l=l, h=h,
-                 yaw=_snap(normalize_angle(yaw), YAW_SNAP))
+    return _Placed(GtBox(obj_id=obj_id, x=_snap(x), y=_snap(y), z=h / 2.0, w=w, l=l, h=h,
+                         yaw=_snap(normalize_angle(yaw), YAW_SNAP)))
 
 
-def _bearing_span(origin: np.ndarray, corners: np.ndarray, ref: float):
-    rel = np.array([normalize_angle(math.atan2(c[1] - origin[1], c[0] - origin[0]) - ref)
-                    for c in corners])
-    return rel.min(), rel.max()
+def _bearing_span(origin: tuple[float, float], corners, ref: float):
+    rel = [normalize_angle(math.atan2(cy - origin[1], cx - origin[0]) - ref)
+           for cx, cy in corners]
+    return min(rel), max(rel)
 
 
-def _box_radius(b: GtBox) -> float:
-    return math.hypot(b.w, b.l) / 2.0
-
-
-def _blocks(origin: np.ndarray, blocker: GtBox, target: GtBox,
+def _blocks(origin: tuple[float, float], blocker: _Placed, target: _Placed,
             min_overlap: float = 0.45) -> bool:
     """Approximate: does ``blocker`` shadow ``target`` seen from ``origin``?"""
-    dt = math.hypot(target.x - origin[0], target.y - origin[1])
-    db = math.hypot(blocker.x - origin[0], blocker.y - origin[1])
+    b, t = blocker.box, target.box
+    dt = math.hypot(t.x - origin[0], t.y - origin[1])
+    db = math.hypot(b.x - origin[0], b.y - origin[1])
     if db >= dt or db < 1e-9:
         return False
-    ref = math.atan2(target.y - origin[1], target.x - origin[0])
-    rel_c = normalize_angle(
-        math.atan2(blocker.y - origin[1], blocker.x - origin[0]) - ref)
-    reach = (math.asin(min(1.0, _box_radius(target) / dt))
-             + math.asin(min(1.0, _box_radius(blocker) / db)))
+    ref = math.atan2(t.y - origin[1], t.x - origin[0])
+    rel_c = normalize_angle(math.atan2(b.y - origin[1], b.x - origin[0]) - ref)
+    reach = (math.asin(min(1.0, target.radius / dt))
+             + math.asin(min(1.0, blocker.radius / db)))
     if abs(rel_c) > reach:
         return False
-    t_lo, t_hi = _bearing_span(origin, target.corners_bev(), ref)
-    b_lo, b_hi = _bearing_span(origin, blocker.corners_bev(), ref)
+    t_lo, t_hi = _bearing_span(origin, target.pts, ref)
+    b_lo, b_hi = _bearing_span(origin, blocker.pts, ref)
     inter = min(t_hi, b_hi) - max(t_lo, b_lo)
     width = t_hi - t_lo
     return width > 0 and inter > min_overlap * width
 
 
-def _covers_fully(origin: np.ndarray, occ: GtBox, tgt: GtBox, cam_h: float) -> bool:
+def _covers_fully(origin: tuple[float, float], occluder: _Placed, target: _Placed,
+                  cam_h: float) -> bool:
     """Sufficient condition: occluder hides target from a camera at origin."""
+    occ, tgt = occluder.box, target.box
     dt = math.hypot(tgt.x - origin[0], tgt.y - origin[1])
     do = math.hypot(occ.x - origin[0], occ.y - origin[1])
     if do >= dt:
         return False
     ref = math.atan2(tgt.y - origin[1], tgt.x - origin[0])
-    t_lo, t_hi = _bearing_span(origin, tgt.corners_bev(), ref)
-    o_lo, o_hi = _bearing_span(origin, occ.corners_bev(), ref)
+    t_lo, t_hi = _bearing_span(origin, target.pts, ref)
+    o_lo, o_hi = _bearing_span(origin, occluder.pts, ref)
     margin = 0.015
     if not (o_lo <= t_lo - margin and o_hi >= t_hi + margin):
         return False
@@ -492,6 +510,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     ego_pose = Pose(_snap(rng.uniform(-4.0, 4.0)), _snap(rng.uniform(-4.0, 4.0)),
                     0.0, _snap(rng.uniform(-math.pi, math.pi), YAW_SNAP))
     agent_poses = [ego_pose]
+    agent_rects = [_agent_rect(ego_pose)]
     for _ in range(cfg.n_agents - 1):
         for _attempt in range(60):
             d = rng.uniform(5.0, 11.0)
@@ -499,11 +518,10 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             pose = Pose(_snap(ego_pose.x + d * math.cos(phi)),
                         _snap(ego_pose.y + d * math.sin(phi)),
                         0.0, _snap(rng.uniform(-math.pi, math.pi), YAW_SNAP))
-            rect = rect_corners(pose.x, pose.y, AGENT_CLEAR_W, AGENT_CLEAR_L, pose.yaw)
-            if all(not rects_overlap(rect, rect_corners(p.x, p.y, AGENT_CLEAR_W,
-                                                        AGENT_CLEAR_L, p.yaw))
-                   for p in agent_poses):
+            rect = _agent_rect(pose)
+            if all(not rects_overlap(rect, arect) for arect in agent_rects):
                 agent_poses.append(pose)
+                agent_rects.append(rect)
                 break
         else:
             return "agent placement failed"
@@ -517,32 +535,29 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             valid = (True,) + valid[1:]
         agents.append(make_ring_rig(cfg, pose, valid))
 
-    ego_xy = np.array([ego_pose.x, ego_pose.y])
-    collab_xy = [np.array([p.x, p.y]) for p in agent_poses[1:]]
+    ego_xy = (ego_pose.x, ego_pose.y)
+    collab_xy = [(p.x, p.y) for p in agent_poses[1:]]
 
     n_obj = int(rng.integers(cfg.n_objects_min, cfg.n_objects_max + 1))
     n_occluded = round(cfg.occluded_fraction * n_obj)
     if n_occluded > 0 and cfg.range_m - 1.5 <= 7.2:
         return "range too small for occlusion pairs"
-    agent_rects = [rect_corners(p.x, p.y, AGENT_CLEAR_W, AGENT_CLEAR_L, p.yaw)
-                   for p in agent_poses]
     agent_radius = math.hypot(AGENT_CLEAR_W, AGENT_CLEAR_L) / 2.0
 
-    boxes: list[GtBox] = []
-    protected: list[GtBox] = []
+    boxes: list[_Placed] = []
+    protected: list[_Placed] = []
     # per protected target: collaborator indices with an unshadowed sight line
     clear_sets: list[list[int]] = []
 
-    def clashes(box: GtBox) -> bool:
-        rect = box.corners_bev()
-        r = _box_radius(box)
+    def clashes(cand: _Placed) -> bool:
+        box, rect, r = cand.box, cand.corners, cand.radius
         for p, arect in zip(agent_poses, agent_rects):
             if math.hypot(box.x - p.x, box.y - p.y) <= r + agent_radius and \
                     rects_overlap(rect, arect):
                 return True
         return any(
-            math.hypot(box.x - b.x, box.y - b.y) <= r + _box_radius(b)
-            and rects_overlap(rect, b.corners_bev())
+            math.hypot(box.x - b.box.x, box.y - b.box.y) <= r + b.radius
+            and rects_overlap(rect, b.corners)
             for b in boxes)
 
     def facing_view_ok(c: int, bearing: float) -> bool:
@@ -553,10 +568,10 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
         k = int(round(normalize_angle(bearing - rig.pose.yaw) / sector)) % cfg.n_cams
         return rig.view_valid[k]
 
-    def witness_candidates(tgt: GtBox, extra: list[GtBox]) -> list[int]:
+    def witness_candidates(tgt: _Placed, extra: list[_Placed]) -> list[int]:
         out = []
         for c, cxy in enumerate(collab_xy):
-            bearing = math.atan2(tgt.y - cxy[1], tgt.x - cxy[0])
+            bearing = math.atan2(tgt.box.y - cxy[1], tgt.box.x - cxy[0])
             if not facing_view_ok(c, bearing):
                 continue
             if any(_blocks(cxy, b, tgt) for b in boxes):
@@ -566,7 +581,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             out.append(c)
         return out
 
-    def shrunk_clear_sets(extra: list[GtBox]):
+    def shrunk_clear_sets(extra: list[_Placed]):
         # None when some protected target would lose its last witness
         out = []
         for t, cs in zip(protected, clear_sets):
@@ -578,7 +593,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
         return out
 
     next_id = 0
-    occluders: list[GtBox] = []
+    occluders: list[_Placed] = []
     placed_targets = 0
     for _t in range(n_occluded):
         need = n_occluded - placed_targets
@@ -592,14 +607,14 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 # hide another target behind an occluder already in place,
                 # anywhere inside its angular shadow
                 occ = occluders[int(rng.integers(len(occluders)))]
-                d_o = math.hypot(occ.x - ego_pose.x, occ.y - ego_pose.y)
+                d_o = math.hypot(occ.box.x - ego_pose.x, occ.box.y - ego_pose.y)
                 lo = max(7.0, d_o / 0.62)
                 hi = min(cfg.range_m - 1.5, d_o / 0.30)
                 if lo >= hi:
                     continue
                 dt = rng.uniform(lo, hi)
-                bearing_o = math.atan2(occ.y - ego_pose.y, occ.x - ego_pose.x)
-                o_lo, o_hi = _bearing_span(ego_xy, occ.corners_bev(), bearing_o)
+                bearing_o = math.atan2(occ.box.y - ego_pose.y, occ.box.x - ego_pose.x)
+                o_lo, o_hi = _bearing_span(ego_xy, occ.pts, bearing_o)
                 th = math.asin(min(1.0, (CAR_RADIUS_MAX + 0.1) / dt)) + 0.02
                 if o_lo + th >= o_hi - th:
                     continue
@@ -607,7 +622,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 tgt = _sample_box(rng, next_id, ego_pose.x + dt * math.cos(phi),
                                   ego_pose.y + dt * math.sin(phi),
                                   rng.uniform(-math.pi, math.pi), "car")
-                tgt.occluded = True
+                tgt.box.occluded = True
                 if clashes(tgt) or not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                     continue
                 cs_new = witness_candidates(tgt, [])
@@ -628,15 +643,14 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             tgt = _sample_box(rng, next_id + 1, ego_pose.x + dt * math.cos(phi),
                               ego_pose.y + dt * math.sin(phi),
                               rng.uniform(-math.pi, math.pi), "car")
-            tgt.occluded = True
+            tgt.box.occluded = True
             do = dt * rng.uniform(0.30, 0.62)
             if do < 2.4:
                 continue
             occ = _sample_box(rng, next_id, ego_pose.x + do * math.cos(phi),
                               ego_pose.y + do * math.sin(phi),
                               phi + math.pi / 2.0 + rng.uniform(-0.25, 0.25), "truck")
-            if clashes(occ) or clashes(tgt) or rects_overlap(occ.corners_bev(),
-                                                             tgt.corners_bev()):
+            if clashes(occ) or clashes(tgt) or rects_overlap(occ.corners, tgt.corners):
                 continue
             if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                 continue
@@ -679,11 +693,11 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
         else:
             return "free box placement failed"
 
-    scene = Scene(seed=seed, cfg=cfg, agents=agents, boxes=boxes)
+    scene = Scene(seed=seed, cfg=cfg, agents=agents, boxes=[b.box for b in boxes])
     for tgt in protected:
-        if ego_visibility(scene, tgt.obj_id) > cfg.occluded_max_vis:
+        if ego_visibility(scene, tgt.box.obj_id) > cfg.occluded_max_vis:
             return "constructed occlusion not confirmed by z-buffer"
-        if collab_xy and max(agent_visibility(scene, c, tgt.obj_id)
+        if collab_xy and max(agent_visibility(scene, c, tgt.box.obj_id)
                              for c in range(1, cfg.n_agents)) < cfg.witness_min_vis:
             return "witness visibility not confirmed by z-buffer"
     return scene

@@ -7,6 +7,10 @@ Gradient flow inside a single backward pass uses a scratch map, so calling
 ``backward`` twice on the same graph adds the same gradient twice (no
 stale-state coupling between passes).
 
+``.grad`` arrays are read-only by contract and may share memory: the two
+operands of ``a + b`` get the same array. Replace a gradient, never write
+into it.
+
 All arithmetic is float64 end to end; there is no dtype promotion to fight.
 """
 
@@ -280,7 +284,7 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
                 continue
             for p, pg in zip(node._parents, node._vjp(g)):

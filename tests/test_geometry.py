@@ -11,6 +11,7 @@ from viewfuse.geometry import (
     project_points, rect_corners, rects_overlap,
     relative_pose, unproject_feature_to_optical, optical_to_local,
 )
+from viewfuse.scene import POS_SNAP, YAW_SNAP, _snap
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -246,3 +247,102 @@ def test_rects_overlap():
     a = rect_corners(0.0, 0.0, 2.0, 4.0, 0.2)
     assert rects_overlap(a, rect_corners(0.5, 0.5, 2.0, 4.0, -0.4))
     assert not rects_overlap(a, rect_corners(10.0, 0.0, 2.0, 4.0, 0.0))
+
+
+# ---- the overlap predicate against its clip definition ----
+
+def _clip_overlap(a, b) -> bool:
+    return polygon_area(clip_convex(a, b)) > 1e-12
+
+
+def _sat_min_overlap(a, b) -> float:
+    """Smallest projected overlap over the four edge axes (negative: a gap)."""
+    out = math.inf
+    for p in (a, b):
+        for n in (p[1] - p[0], p[3] - p[0]):
+            ka, kb = a @ n, b @ n
+            out = min(out, min(ka.max() - kb.min(), kb.max() - ka.min())
+                      / float(np.hypot(*n)))
+    return out
+
+
+def _touch_distance(wa, la, ya, wb, lb, yb, d) -> float:
+    """How far B's centre moves from A's along unit ``d`` until they touch.
+
+    That is where the ray along ``d`` leaves the Minkowski difference A - B,
+    whose edge normals are both rectangles' axes and whose support function
+    is the sum of theirs.
+    """
+    def support(n, w, l, yaw):
+        return (abs(n @ [math.cos(yaw), math.sin(yaw)]) * l / 2.0
+                + abs(n @ [-math.sin(yaw), math.cos(yaw)]) * w / 2.0)
+
+    best = math.inf
+    for yaw in (ya, yb):
+        for k in range(4):
+            n = np.array([math.cos(yaw + k * math.pi / 2.0),
+                          math.sin(yaw + k * math.pi / 2.0)])
+            if n @ d > 1e-9:
+                best = min(best, (support(n, wa, la, ya) + support(n, wb, lb, yb))
+                           / (n @ d))
+    return best
+
+
+def test_rects_overlap_is_the_clip_predicate_near_contact():
+    rng = np.random.default_rng(2024)
+    for i in range(3000):
+        ax, ay = rng.uniform(-20.0, 20.0, 2)
+        wa, wb = rng.uniform(0.5, 2.6, 2)
+        la, lb = rng.uniform(1.0, 6.0, 2)
+        ya, yb = rng.uniform(-math.pi, math.pi, 2)
+        if i % 4 == 0:   # parallel or perpendicular edges
+            yb = ya + rng.integers(4) * math.pi / 2.0
+        phi = rng.uniform(-math.pi, math.pi)
+        d = np.array([math.cos(phi), math.sin(phi)])
+        gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+        s = _touch_distance(wa, la, ya, wb, lb, yb, d) + gap
+        bx, by = ax + s * d[0], ay + s * d[1]
+        if i % 2 == 0:
+            ax, ay, bx, by = (_snap(v) for v in (ax, ay, bx, by))
+            ya, yb = _snap(ya, YAW_SNAP), _snap(yb, YAW_SNAP)
+        a = rect_corners(ax, ay, wa, la, ya)
+        b = rect_corners(bx, by, wb, lb, yb)
+        assert rects_overlap(a, b) == _clip_overlap(a, b), (i, gap)
+        assert rects_overlap(b, a) == _clip_overlap(b, a), (i, gap)
+
+
+def test_rects_overlap_adversarial_contacts():
+    a = rect_corners(0.0, 0.0, 2.0, 4.0, 0.0)       # x in [-2, 2], y in [-1, 1]
+    shared_edge = rect_corners(4.0, 0.0, 2.0, 4.0, 0.0)
+    # projections touch exactly: a SAT with no band would call this overlap
+    assert _sat_min_overlap(a, shared_edge) >= 0.0
+    cases = {
+        "shared edge": (shared_edge, False),
+        "shared edge, offset": (rect_corners(1.0, 2.0, 2.0, 4.0, 0.0), False),
+        "corner to corner": (rect_corners(4.0, 2.0, 2.0, 4.0, 0.0), False),
+        "corner on corner, rotated": (
+            rect_corners(2.0 + math.sqrt(0.5), 1.0, 1.0, 1.0, math.pi / 4.0), False),
+        "contained": (rect_corners(0.3, -0.2, 0.5, 1.0, 0.7), True),
+        "identical": (a.copy(), True),
+        "zero width": (rect_corners(0.5, 0.0, 0.0, 1.0, 0.4), False),
+        "x, 1e-9 apart": (rect_corners(4.0 + 1e-9, 0.0, 2.0, 4.0, 0.0), False),
+        "x, 1e-9 into": (rect_corners(4.0 - 1e-9, 0.0, 2.0, 4.0, 0.0), True),
+        "y, 1e-9 apart": (rect_corners(0.0, 2.0 + 1e-9, 2.0, 4.0, 0.0), False),
+        "y, 1e-9 into": (rect_corners(0.0, 2.0 - 1e-9, 2.0, 4.0, 0.0), True),
+        "x, one POS_SNAP apart": (rect_corners(4.0 + POS_SNAP, 0.0, 2.0, 4.0, 0.0), False),
+        "x, one POS_SNAP into": (rect_corners(4.0 - POS_SNAP, 0.0, 2.0, 4.0, 0.0), True),
+    }
+    for name, (b, want) in cases.items():
+        assert _clip_overlap(a, b) == want, name
+        assert rects_overlap(a, b) == want, name
+        assert rects_overlap(b, a) == want, name
+    # the same contacts on a rotated frame, yaw on the YAW_SNAP grid
+    yaw = _snap(0.3, YAW_SNAP)
+    c, s = math.cos(yaw), math.sin(yaw)
+    ra = rect_corners(0.0, 0.0, 2.0, 4.0, yaw)
+    for dx, dy in ((4.0, 0.0), (0.0, 2.0)):
+        for eps in (-1e-9, 0.0, 1e-9):
+            k = 1.0 + eps / math.hypot(dx, dy)
+            rb = rect_corners(k * (c * dx - s * dy), k * (s * dx + c * dy), 2.0, 4.0, yaw)
+            assert rects_overlap(ra, rb) == _clip_overlap(ra, rb), (dx, dy, eps)
+            assert rects_overlap(rb, ra) == _clip_overlap(rb, ra), (dx, dy, eps)

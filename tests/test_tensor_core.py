@@ -171,6 +171,16 @@ def test_grad_reaches_intermediates():
     np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
+def test_shared_grad_arrays_survive_adam():
+    # both operands of a + b receive the same gradient array
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    (a + b).sum().backward()
+    Adam({"a": a, "b": b}, lr=0.1).step()
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 4))
