@@ -15,8 +15,9 @@ import numpy as np
 from .comms import (CommLedger, DetectionMessage, comm_volume_log2,
                     decode_detection, encode_detection)
 from .decoder import decoded_rows
-from .geometry import (Pose, apply_pose, clip_convex, normalize_angle,
-                       polygon_area, rect_corners, relative_pose)
+from .geometry import (SAT_GAP, Pose, apply_pose, clip_convex,
+                       normalize_angle, polygon_area, rect_corners,
+                       relative_pose)
 from .model import (FLAGS_FULL, FLAGS_LATE, FLAGS_SOLO, PipelineFlags,
                     PipelineModel, ego_frame_targets, model_forward)
 from .scene import GtBox, Scene, truncate_scene
@@ -71,28 +72,58 @@ def rotated_iou_bev(a, b) -> float:
 # ---- AP ----
 
 
-def match_detections(dets: list[Detection], gts: list[GtBox],
-                     iou_thr: float, iou_fn=rotated_iou_bev) -> list[bool]:
-    """Greedy confidence-descending matching; each GT claimed at most once.
+def near_pairs(a, b) -> np.ndarray:
+    """[len(a), len(b)] mask of the box pairs whose footprints can touch.
 
-    Returns a true/false flag per detection in the original order.
+    A rectangle lies inside its circumcircle, radius hypot(w, l) / 2. Centres
+    farther apart than the two radii plus ``SAT_GAP`` metres therefore mean
+    disjoint footprints: the clip returns nothing and the IoU is exactly 0.0.
+    Every other pair, NaN distances included, is near. Raises on any box
+    with a non-positive size, as ``rotated_iou_bev`` would, near or not.
     """
+    pa, pb = (np.array([(r.x, r.y, r.w, r.l) for r in boxes],
+                       dtype=np.float64).reshape(-1, 4) for boxes in (a, b))
+    if (pa[:, 2:] <= 0.0).any() or (pb[:, 2:] <= 0.0).any():
+        raise ValueError("boxes need positive sizes")
+    reach = (0.5 * np.hypot(pa[:, 2], pa[:, 3])[:, None]
+             + 0.5 * np.hypot(pb[:, 2], pb[:, 3])[None, :] + SAT_GAP)
+    dist = np.hypot(pa[:, None, 0] - pb[None, :, 0],
+                    pa[:, None, 1] - pb[None, :, 1])
+    return ~(dist > reach)
+
+
+def iou_matrix(a, b, iou_fn) -> np.ndarray:
+    """[len(a), len(b)] IoU: ``iou_fn`` on near pairs, 0.0 on the rest."""
+    out = np.zeros((len(a), len(b)))
+    for i, j in np.argwhere(near_pairs(a, b)).tolist():
+        out[i, j] = iou_fn(a[i], b[j])
+    return out
+
+
+def match_detections(dets: list[Detection], gts: list[GtBox],
+                     iou_fn=rotated_iou_bev) -> dict[float, list[bool]]:
+    """Greedy confidence-descending matching at each of ``IOU_THRESHOLDS``.
+
+    Each GT is claimed at most once per threshold. Returns, keyed by
+    threshold, a true/false flag per detection in the original order. One
+    det x GT IoU matrix serves every threshold; ``iou_fn`` must be 0 on
+    boxes whose circumcircles are apart, which ``iou_matrix`` skips.
+    """
+    iou = iou_matrix(dets, gts, iou_fn)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    taken = [False] * len(gts)
-    flags = [False] * len(dets)
-    for i in order:
-        # highest-IoU free GT at or above the threshold; ties to the earliest
-        best, best_iou = -1, -1.0
-        for g, gt in enumerate(gts):
-            if taken[g]:
-                continue
-            iou = iou_fn(dets[i], gt)
-            if iou >= iou_thr and iou > best_iou:
-                best, best_iou = g, iou
-        if best >= 0:
-            taken[best] = True
-            flags[i] = True
-    return flags
+    out = {}
+    for thr in IOU_THRESHOLDS:
+        free = np.ones(len(gts), dtype=bool)
+        flags = [False] * len(dets)
+        for i in order:
+            hits = np.flatnonzero(free & (iou[i] >= thr))
+            if len(hits):
+                # highest-IoU free GT; argmax ties to the earliest
+                g = hits[np.argmax(iou[i, hits])]
+                free[g] = False
+                flags[i] = True
+        out[thr] = flags
+    return out
 
 
 def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
@@ -115,11 +146,16 @@ def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
 
 
 def nms_rotated(dets: list[Detection], iou_thr: float = NMS_IOU) -> list[Detection]:
-    """Confidence-descending greedy suppression with rotated IoU."""
+    """Confidence-descending greedy suppression with rotated IoU.
+
+    Only near pairs (``near_pairs``) reach the clip; the rest have IoU 0.
+    """
+    near = near_pairs(dets, dets).tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     keep: list[int] = []
     for i in order:
-        if all(rotated_iou_bev(dets[i], dets[j]) <= iou_thr for j in keep):
+        if all(rotated_iou_bev(dets[i], dets[j]) <= iou_thr
+               for j in keep if near[i][j]):
             keep.append(i)
     return [dets[i] for i in sorted(keep)]
 
@@ -258,10 +294,10 @@ def evaluate_scenes(model: PipelineModel, scenes: list[Scene],
         ledgers.append(ledger)
         per_scene.append(_scene_record(scene.seed, dets, len(gts),
                                        ledger.total_bytes))
+        flags_tp = match_detections(dets, gts)
         for t in IOU_THRESHOLDS:
-            flags_tp = match_detections(dets, gts, t)
             scored[t].extend((d.confidence, tp)
-                             for d, tp in zip(dets, flags_tp))
+                             for d, tp in zip(dets, flags_tp[t]))
     merged = CommLedger.merge(ledgers)
     total = merged.total_bytes
     comm = comm_volume_log2(merged) if total else None

@@ -1,4 +1,5 @@
 """Metrics, baselines and sweep harness."""
+import dataclasses
 import json
 import math
 import re
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 from viewfuse.eval import (
+    IOU_THRESHOLDS,
+    NMS_IOU,
     Detection,
     average_precision,
     ablation_ladder,
     detection_to_frame,
+    iou_matrix,
     match_detections,
+    near_pairs,
     nms_rotated,
     rotated_iou_bev,
     run_fusion,
@@ -22,6 +27,7 @@ from viewfuse.eval import (
 )
 from viewfuse.scene import GtBox, generate_scene
 
+import eval_reference as ref
 from small import small_model, small_scene_cfg
 
 
@@ -118,10 +124,10 @@ def test_ap_hand_cases():
 def test_matching_greedy_one_to_one():
     dets = [det(x=0.0, conf=0.9), det(x=0.4, conf=0.8), det(x=9.0, conf=0.7)]
     gts = [gt(x=0.0)]
-    flags = match_detections(dets, gts, 0.5)
+    flags = match_detections(dets, gts)[0.5]
     assert flags == [True, False, False]
     # lower-confidence duplicate cannot steal a taken GT
-    flags2 = match_detections(dets, [gt(x=0.0), gt(x=9.0)], 0.5)
+    flags2 = match_detections(dets, [gt(x=0.0), gt(x=9.0)])[0.5]
     assert flags2 == [True, False, True]
 
 
@@ -131,6 +137,105 @@ def test_nms_suppresses_duplicates():
     c = det(x=12.0, conf=0.7)
     kept = nms_rotated([a, b, c], 0.5)
     assert kept == [a, c]
+
+
+def _size(rng):
+    """Mostly car-scale; one draw in five from the decoder's whole
+    exp(clip(., -8, 8)) output range."""
+    if rng.random() < 0.2:
+        return float(np.exp(rng.uniform(-8.0, 8.0)))
+    return float(np.exp(rng.uniform(np.log(0.3), np.log(8.0))))
+
+
+def _cluster(rng):
+    """Dense seeded scene: detections jittered off GT boxes at several
+    scales (straddling the thresholds), stray boxes, exact duplicates, and
+    confidences on a 0.1 grid so ties occur."""
+    gts = [gt(x=rng.uniform(-6, 6), y=rng.uniform(-6, 6), w=_size(rng),
+              l=_size(rng), yaw=rng.uniform(-4, 4), obj_id=k)
+           for k in range(int(rng.integers(0, 9)))]
+    dets = []
+    for _ in range(int(rng.integers(0, 18))):
+        conf = round(float(rng.uniform(0.05, 0.95)), 1)
+        if gts and rng.random() < 0.6:
+            g = gts[int(rng.integers(len(gts)))]
+            s = float(rng.choice([0.0, 0.02, 0.2, 0.6]))
+            d = det(x=g.x + rng.normal(0, s), y=g.y + rng.normal(0, s),
+                    w=g.w * np.exp(rng.normal(0, s / 2)),
+                    l=g.l * np.exp(rng.normal(0, s / 2)),
+                    yaw=g.yaw + rng.normal(0, s), conf=conf)
+        else:
+            d = det(x=rng.uniform(-8, 8), y=rng.uniform(-8, 8), w=_size(rng),
+                    l=_size(rng), yaw=rng.uniform(-4, 4), conf=conf)
+        dets.append(d)
+        if rng.random() < 0.15:
+            dets.append(dataclasses.replace(d))
+    return dets, gts
+
+
+def test_matching_and_nms_equal_the_all_pairs_reference():
+    rng = np.random.default_rng(8)
+    n_tp = n_suppressed = n_far = 0
+    for _ in range(300):
+        dets, gts = _cluster(rng)
+        got = match_detections(dets, gts)
+        assert list(got) == list(IOU_THRESHOLDS)
+        for t in IOU_THRESHOLDS:
+            assert got[t] == ref.match_detections(dets, gts, t)
+            n_tp += sum(got[t])
+        for thr in (NMS_IOU, 0.1):
+            kept = nms_rotated(dets, thr)
+            assert [id(d) for d in kept] == [
+                id(d) for d in ref.nms_rotated(dets, thr)]
+            n_suppressed += len(dets) - len(kept)
+        n_far += int((~near_pairs(dets, dets)).sum())
+    # the clusters exercise matches, suppression and the cull
+    assert n_tp > 500 and n_suppressed > 500 and n_far > 5000
+
+
+def test_cull_is_exact_at_corner_contact():
+    """Diagonals on the centre line, corner to corner: the pair at which the
+    circumcircle bound is tight. Culled or not, the IoU equals the clip."""
+    sizes = [((2.0, 4.0), (2.0, 4.0)), ((2.5, 2.5), (1.0, 12.0)),
+             ((0.05, 4.0), (1.8, 4.5)), ((0.05, 6.0), (0.02, 3.0))]
+    for (wa, la), (wb, lb) in sizes:
+        # the first direction puts box a axis-aligned
+        for theta in (math.atan2(wa, la), 0.0, 0.3, 1.1, -2.4, math.pi / 2):
+            ra, rb = 0.5 * math.hypot(wa, la), 0.5 * math.hypot(wb, lb)
+            c, s = math.cos(theta), math.sin(theta)
+            for gap in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+                # a's corner (l/2, w/2) and b's corner (-l/2, -w/2) face
+                # each other along theta, ``gap`` apart
+                a = det(x=1.5, y=-0.5, w=wa, l=la,
+                        yaw=theta - math.atan2(wa, la))
+                b = gt(x=1.5 + (ra + rb + gap) * c,
+                       y=-0.5 + (ra + rb + gap) * s, w=wb, l=lb,
+                       yaw=theta - math.atan2(wb, lb))
+                direct = rotated_iou_bev(a, b)
+                culled = iou_matrix([a], [b], rotated_iou_bev)[0, 0]
+                assert culled.hex() == direct.hex(), (wa, la, theta, gap)
+                if gap <= -1e-6:
+                    assert direct > 0.0
+                if gap >= 1e-3:
+                    assert not near_pairs([a], [b])[0, 0]
+
+
+def test_cull_keeps_size_validation():
+    far = 1e3   # beyond every other box, where the cull skips the IoU
+    for bad in (dict(w=0.0), dict(l=-1.0)):
+        with pytest.raises(ValueError, match="positive"):
+            match_detections([det(), det(x=far, **bad)], [gt()])
+        with pytest.raises(ValueError, match="positive"):
+            match_detections([det()], [gt(), gt(x=far, **bad)])
+        with pytest.raises(ValueError, match="positive"):
+            nms_rotated([det(), det(x=far, conf=0.5, **bad)])
+
+
+def test_matching_and_nms_on_empty_lists():
+    assert match_detections([], [gt()]) == {t: [] for t in IOU_THRESHOLDS}
+    assert match_detections([det(), det(x=5.0)], []) == {
+        t: [False, False] for t in IOU_THRESHOLDS}
+    assert nms_rotated([]) == []
 
 
 def test_detection_frame_transform():
