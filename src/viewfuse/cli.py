@@ -10,7 +10,8 @@ are part of the contract so scripts can branch on the failure class:
     0  success
     2  invalid config or command line (the message names the field)
     3  training hit a non-finite loss
-    4  checkpoint fingerprint does not match the config
+    4  checkpoint fingerprint does not match the config, or a checkpoint
+       to resume or to fill an ablation row was trained with other flags
     5  ablate needs a checkpoint that does not exist (pass --train-missing)
 """
 
@@ -116,11 +117,14 @@ def _train(cfg: ExperimentConfig, scenes: list, flags: PipelineFlags,
                  fingerprint=fingerprint(cfg), log=log)
 
 
-def _load_model(cfg: ExperimentConfig, path: Path) -> PipelineModel:
+def _load_model(cfg: ExperimentConfig, path: Path,
+                flags: PipelineFlags | None = None) -> PipelineModel:
+    """Load ``path``; with ``flags``, only a model trained under them."""
     if not path.exists():
         raise FileNotFoundError(f"checkpoint {path} does not exist")
     model = init_model(cfg.model, cfg.train.seed)
-    load_checkpoint(path, model, expect_fingerprint=fingerprint(cfg))
+    load_checkpoint(path, model, expect_fingerprint=fingerprint(cfg),
+                    expect_flags=flags)
     return model
 
 
@@ -249,7 +253,7 @@ def cmd_ablate(args) -> int:
         suffix = f"_{_safe_name(name)}"
         path = out / f"checkpoint{suffix}.npz"
         if path.exists():
-            models[name] = _load_model(cfg, path)
+            models[name] = _load_model(cfg, path, flags)
         elif args.train_missing:
             if train_scenes is None:
                 train_scenes = _scenes(cfg, cfg.train)

@@ -150,9 +150,8 @@ def deformable_attention(off_mlp: Mlp, queries: Tensor, fmaps: Tensor,
         off, wts = take_rows(off, rows), take_rows(wts, rows)
     m = base.shape[0]
     pts = (off + base.reshape(m, 1, 2)).reshape(m * n_da, 2)
-    samp = bilinear_sample(fmaps, pts,
-                           None if view is None else np.repeat(view, n_da))
-    return (samp.reshape(m, n_da, -1) * wts.reshape(m, n_da, 1)).sum(axis=1)
+    return bilinear_sample(fmaps, pts,
+                           None if view is None else np.repeat(view, n_da), wts)
 
 
 @dataclass
@@ -213,11 +212,11 @@ def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
     triple's gradient by 1 / (views at its height x heights of its cell).
     """
     n_ref, hw = s.v_inv.shape
-    dense = np.zeros((n_ref, s.maps.shape[0], hw, f.shape[1]))
-    dense[s.height, s.view, s.cell] = f.data
-    v_sum = dense[:, 0]
-    for k in range(1, dense.shape[1]):
-        v_sum = v_sum + dense[:, k]
+    v_sum = np.zeros((n_ref, hw, f.shape[1]))
+    for k in range(s.maps.shape[0]):
+        # a view sees each (height, cell) at most once
+        sel = s.view == k
+        v_sum[s.height[sel], s.cell[sel]] += f.data[sel]
     part = v_sum * s.v_inv[..., None]
     h_sum = part[0]
     for h in range(1, n_ref):

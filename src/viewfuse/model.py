@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,8 @@ class CheckpointError(ValueError):
 
 
 class FingerprintError(CheckpointError):
-    """Checkpoint was trained under a different experiment configuration."""
+    """Checkpoint was trained under a different experiment configuration
+    or other pipeline flags."""
 
 
 CHECKPOINT_VERSION = 1
@@ -398,13 +399,18 @@ def train_step(scenes: list[Scene], model: PipelineModel, opt: Adam,
 
 
 def save_checkpoint(path, model: PipelineModel, opt: Adam | None = None, *,
-                    fingerprint: str = "", step: int = 0) -> None:
-    """Versioned flat archive of named f64 parameter (and Adam) arrays."""
+                    fingerprint: str = "", step: int = 0,
+                    flags: PipelineFlags = FLAGS_FULL) -> None:
+    """Versioned flat archive of named f64 parameter (and Adam) arrays.
+
+    ``flags`` are the pipeline flags the model was trained under.
+    """
     arrays = {f"param.{k}": t.data for k, t in model.params().items()}
     if opt is not None:
         arrays.update({f"opt.{k}": a for k, a in opt.state_arrays().items()})
     meta = json.dumps({"version": CHECKPOINT_VERSION,
-                       "fingerprint": fingerprint, "step": int(step)},
+                       "fingerprint": fingerprint, "step": int(step),
+                       "flags": asdict(flags)},
                       sort_keys=True)
     arrays["meta"] = np.frombuffer(meta.encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
@@ -414,8 +420,13 @@ def save_checkpoint(path, model: PipelineModel, opt: Adam | None = None, *,
 
 
 def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
-                    expect_fingerprint: str | None = None) -> dict:
-    """Restore parameters in place; returns the stored metadata."""
+                    expect_fingerprint: str | None = None,
+                    expect_flags: PipelineFlags | None = None) -> dict:
+    """Restore parameters in place; returns the stored metadata.
+
+    A fingerprint or training flags other than the expected ones raise
+    ``FingerprintError``; ``None`` accepts any.
+    """
     with np.load(path) as z:
         if "meta" not in z:
             raise CheckpointError(f"{path} has no metadata record")
@@ -429,6 +440,12 @@ def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
             raise FingerprintError(
                 f"checkpoint fingerprint {meta.get('fingerprint')!r} does "
                 f"not match config fingerprint {expect_fingerprint!r}")
+        if (expect_flags is not None
+                and meta.get("flags") != asdict(expect_flags)):
+            raise FingerprintError(
+                f"checkpoint was trained with flags "
+                f"{json.dumps(meta.get('flags'), sort_keys=True)}, not "
+                f"{json.dumps(asdict(expect_flags), sort_keys=True)}")
         params = model.params()
         stored = {k[len("param."):] for k in z.files if k.startswith("param.")}
         missing = sorted(set(params) - stored)
@@ -481,7 +498,8 @@ def train(model_cfg: ModelConfig, train_cfg, scenes: list[Scene],
     start = 0
     kept: list[str] = []
     if ckpt.exists():
-        meta = load_checkpoint(ckpt, model, opt, expect_fingerprint=fingerprint)
+        meta = load_checkpoint(ckpt, model, opt, expect_fingerprint=fingerprint,
+                               expect_flags=flags)
         start = int(meta.get("step", 0))
         kept = _read_loss_rows(loss_csv)[:start]
         log(f"resumed {ckpt.name} at step {start}")
@@ -510,9 +528,9 @@ def train(model_cfg: ModelConfig, train_cfg, scenes: list[Scene],
             done = step + 1
             if done % train_cfg.checkpoint_every == 0 and done < steps:
                 save_checkpoint(ckpt, model, opt, fingerprint=fingerprint,
-                                step=done)
+                                step=done, flags=flags)
             if done % 25 == 0 or done == steps:
                 log(f"{ckpt.name} step {done}/{steps} loss {loss:.6f}")
     save_checkpoint(ckpt, model, opt, fingerprint=fingerprint,
-                    step=max(steps, start))
+                    step=max(steps, start), flags=flags)
     return model

@@ -11,6 +11,13 @@ stale-state coupling between passes).
 operands of ``a + b`` get the same array. Replace a gradient, never write
 into it.
 
+Two hot composites are single nodes with hand-written VJPs, so a graph
+keeps one output per call instead of every intermediate: ``layer_norm``
+(closed-form backward) and ``bilinear_sample``, whose per-point weights
+make it the whole weighted sum of deformable attention. Their forwards
+evaluate the same numpy expressions in the same order as the op-by-op
+versions, so they produce the same bits; their backwards may reassociate.
+
 All arithmetic is float64 end to end; there is no dtype promotion to fight.
 """
 
@@ -364,21 +371,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize the last axis to zero mean / unit variance, then scale-shift.
 
     A constant row maps to ``beta`` (variance 0 is absorbed by ``eps``).
+    One node: the VJP is the closed-form layer-norm backward, so only the
+    normalized rows and their standard deviations stay alive for it.
     """
-    x = as_tensor(x)
-    if x.shape[-1] == 0:
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    n = x.shape[-1]
+    if n == 0:
         raise ShapeError("layer_norm over an empty last axis")
     if eps <= 0.0:
         raise ShapeError("layer_norm eps must be > 0")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    y = xc / (var + eps).sqrt()
-    return y * gamma + beta
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / float(n)
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / float(n) + eps)
+    y = xc / std
+
+    def vjp(g):
+        gy = g * gamma.data
+        gx = (gy - gy.mean(axis=-1, keepdims=True)
+              - y * (gy * y).mean(axis=-1, keepdims=True)) / std
+        return (gx, _unbroadcast(g * y, gamma.shape), _unbroadcast(g, beta.shape))
+
+    return Tensor._make(y * gamma.data + beta.data, (x, gamma, beta), vjp)
 
 
-def bilinear_sample(fmap: Tensor, pts, view=None) -> Tensor:
-    """Bilinearly sample ``fmap`` at points ``pts`` ([N, 2] of (u, v)).
+def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
+    """Weighted sums of bilinear samples of ``fmap`` at ``pts`` ([N, 2] of (u, v)).
 
     ``fmap`` is one map [C, H, W], or a stack of same-sized maps
     [V, C, H, W] with ``view`` ([N] ints) naming the map of each point.
@@ -386,21 +402,33 @@ def bilinear_sample(fmap: Tensor, pts, view=None) -> Tensor:
     A corner outside its own map's lattice contributes zero, so samples fade
     linearly to zero across the one-cell band outside [0, W-1] x [0, H-1],
     are exactly zero beyond it and never bleed into a neighbouring map.
-    One sparse interpolation matrix and its u and v derivatives give the
-    forward and the VJPs in the map and points; each row sums its corners in
-    the fixed order 00, 10, 01, 11 (u offset, then v offset).
+
+    ``weights`` ([M, K] with M * K == N) groups the points into M rows of K
+    consecutive points; output row m is sum_k weights[m, k] * sample[m*K + k],
+    [M, C]. Without weights every point is its own row with weight 1, [N, C].
+    This is one autodiff node: one sparse interpolation matrix and its u and
+    v derivatives give the forward and the VJPs in the map, the points and
+    the weights, and only the [N, C] samples stay alive for the backward.
+    Each sample sums its corners in the fixed order 00, 10, 01, 11 (u
+    offset, then v offset), then each row sums its K weighted samples.
     """
     fmap = as_tensor(fmap)
     if fmap.ndim not in (3, 4) or (fmap.ndim == 4) != (view is not None):
         raise ShapeError(f"bilinear_sample expects a [C, H, W] map, or a "
                          f"[V, C, H, W] stack with view indices; got {fmap.shape}")
-    pts_t = pts if isinstance(pts, Tensor) else None
-    p = pts.data if isinstance(pts, Tensor) else _arr(pts)
+    pts = as_tensor(pts)
+    p = pts.data
     if p.ndim != 2 or p.shape[1] != 2:
         raise ShapeError(f"bilinear_sample expects [N, 2] points, got {p.shape}")
+    n = p.shape[0]
+    wts = as_tensor(np.ones((n, 1)) if weights is None else weights)
+    if wts.ndim != 2 or wts.size != n:
+        raise ShapeError(f"bilinear_sample expects [M, K] weights with "
+                         f"M * K == {n} points, got {wts.shape}")
+    m, k = wts.shape
     n_v, c, h, w = fmap.shape if view is not None else (1,) + fmap.shape
-    view = np.zeros(p.shape[0], np.intp) if view is None else np.asarray(view)
-    if view.shape != (p.shape[0],) or np.any((view < 0) | (view >= n_v)):
+    view = np.zeros(n, np.intp) if view is None else np.asarray(view)
+    if view.shape != (n,) or np.any((view < 0) | (view >= n_v)):
         raise ShapeError(f"bilinear_sample needs one view in [0, {n_v}) per point")
     flat = fmap.data.reshape(n_v, c, h * w).transpose(0, 2, 1).reshape(-1, c)
 
@@ -416,26 +444,31 @@ def bilinear_sample(fmap: Tensor, pts, view=None) -> Tensor:
 
     def interp(wgt):
         return csr_matrix(((wgt * ok).ravel(), cols, rows),
-                          shape=(p.shape[0], flat.shape[0]))
+                          shape=(n, flat.shape[0]))
 
     a = interp(np.hstack([(1 - fu) * (1 - fv), fu * (1 - fv),
                           (1 - fu) * fv, fu * fv]))
-    parents = (fmap,) if pts_t is None else (fmap, pts_t)
+    samp = (a @ flat).reshape(m, k, c)
+    out = (samp * wts.data.reshape(m, k, 1)).sum(axis=1)
 
     def vjp(g):
-        gmap = None
+        gmap = gp = gw = None
         if fmap.requires_grad:
-            gmap = (a.T @ g).reshape(n_v, h * w, c).transpose(0, 2, 1)
+            gs = (g[:, None, :] * wts.data[:, :, None]).reshape(n, c)
+            gmap = (a.T @ gs).reshape(n_v, h * w, c).transpose(0, 2, 1)
             gmap = gmap.reshape(fmap.shape)
-        if pts_t is None:
-            return (gmap,)
-        du = interp(np.hstack([fv - 1, 1 - fv, -fv, fv]))
-        dv = interp(np.hstack([fu - 1, -fu, 1 - fu, fu]))
-        gp = np.stack([((du @ flat) * g).sum(axis=1),
-                       ((dv @ flat) * g).sum(axis=1)], axis=1)
-        return (gmap, gp)
+        if pts.requires_grad:
+            # d(out[m]) / d(pt[m*K + k]) = weights[m, k] * d(sample) / d(pt)
+            du = interp(np.hstack([fv - 1, 1 - fv, -fv, fv]))
+            dv = interp(np.hstack([fu - 1, -fu, 1 - fu, fu]))
+            gp = np.stack([np.einsum("mkc,mc->mk", (d @ flat).reshape(m, k, c), g)
+                           for d in (du, dv)], axis=-1)
+            gp = (gp * wts.data[:, :, None]).reshape(n, 2)
+        if wts.requires_grad:
+            gw = np.einsum("mkc,mc->mk", samp, g)
+        return (gmap, gp, gw)
 
-    return Tensor._make(a @ flat, parents, vjp)
+    return Tensor._make(out, (fmap, pts, wts), vjp)
 
 
 BACKGROUND = -1

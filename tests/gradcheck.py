@@ -161,6 +161,22 @@ def op_gradient_cases(rng: np.random.Generator):
     yield "getitem_repeat", lambda a: (a[np.array([0, 0, 2])] * Tensor(wa)).sum(), \
         [u((3, 4))]
 
+    # weighted sampling: 3 rows of 4 points on the stack above, in the
+    # one-cell fade band on every side of the 3x5 lattice as well as inside
+    wpts = np.stack([rng.integers(-1, 5, 12) + rng.uniform(0.1, 0.9, 12),
+                     rng.integers(-1, 3, 12) + rng.uniform(0.1, 0.9, 12)], axis=1)
+    wview = np.repeat([1, 0, 1], 4)
+    wrow = u((3, 4))
+    w34 = rng.normal(0.0, 1.0, (3, 4))
+
+    def weighted(m, p, w):
+        return (T.bilinear_sample(m, p, wview, w) * Tensor(w34)).sum()
+
+    yield "bilinear_weighted_map", lambda m: weighted(m, wpts, wrow), [maps]
+    yield "bilinear_weighted_pts", lambda p: weighted(Tensor(maps), p, wrow), [wpts]
+    yield "bilinear_weighted_wts", lambda w: weighted(Tensor(maps), wpts, w), [wrow]
+    yield "bilinear_weighted_all", weighted, [maps, wpts, wrow]
+
 
 def run_op_gradient_suite(n_seeds: int, tol: float = 1e-5) -> int:
     """Run every op case across ``n_seeds`` seeds; returns the number of checks."""

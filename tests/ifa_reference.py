@@ -6,6 +6,9 @@ the running view and height means. The library's ``ifa_block_forward``
 batches all of that into one sampling call and must reproduce this loop bit
 for bit. ``deformable_sample`` and ``aggregate_reference_point`` state the
 sampling and averaging formulas for a single point.
+``composite_weighted_sample`` and ``composite_layer_norm`` build weighted
+sampling and layer norm from generic ops, node by node; the library's
+single-node versions must match their forwards bit for bit.
 """
 from __future__ import annotations
 
@@ -142,3 +145,21 @@ def reference_block_forward(block, q: Tensor, views, spec) -> Tensor:
         q1 = qf + h_sum * h_inv[:, None]
     q2 = q1 + block.ffn(layer_norm(q1, block.ln2_g, block.ln2_b))
     return q2.transpose().reshape(c, gh, gw)
+
+
+def composite_weighted_sample(fmaps: Tensor, pts: Tensor, view,
+                              wts: Tensor) -> Tensor:
+    """[M, C] weighted sums of M rows of K samples: sample, multiply, sum."""
+    m, k = wts.shape
+    samp = bilinear_sample(fmaps, pts, view)
+    return (samp.reshape(m, k, -1) * wts.reshape(m, k, 1)).sum(axis=1)
+
+
+def composite_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+                         eps: float = 1e-5) -> Tensor:
+    """Layer norm over the last axis, one generic op per step."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    y = xc / (var + eps).sqrt()
+    return y * gamma + beta

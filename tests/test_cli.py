@@ -11,6 +11,7 @@ from viewfuse import cli, comms
 from viewfuse.cli import build_parser, main
 from viewfuse.config import (ConfigError, ExperimentConfig, config_from_dict,
                              config_to_dict, fingerprint, load_config)
+from viewfuse.model import FLAGS_FULL, FingerprintError, PipelineFlags, train
 from viewfuse.scene import scene_from_dict
 
 
@@ -291,6 +292,32 @@ def test_ablate_missing_checkpoint_exit(trained, tmp_path, capsys):
     cp = write_cfg(tmp_path, "c.json", d)
     assert main(["ablate", "--config", str(cp)]) == 5
     assert "train-missing" in capsys.readouterr().err
+
+
+def test_ablate_refuses_a_ladder_checkpoint_trained_under_other_flags(
+        trained, tmp_path, capsys):
+    # the train run's full-flags checkpoint, swapped into the late row
+    cp, run = trained
+    ab = tmp_path / "ab"
+    ab.mkdir()
+    (ab / "checkpoint_late.npz").write_bytes((run / "checkpoint.npz").read_bytes())
+    assert main(["ablate", "--config", str(cp), "--out", str(ab)]) == 4
+    err = capsys.readouterr().err
+    assert '"late_fuse": false' in err and '"late_fuse": true' in err
+
+
+def test_resume_under_other_flags_is_refused(trained, tmp_path):
+    cp, run = trained
+    cfg = load_config(cp)
+    ckpt = tmp_path / "checkpoint.npz"
+    ckpt.write_bytes((run / "checkpoint.npz").read_bytes())
+    with pytest.raises(FingerprintError, match='"mask": false'):
+        train(cfg.model, cfg.train, [], PipelineFlags(mask=False), ckpt,
+              tmp_path / "loss.csv", fingerprint=fingerprint(cfg),
+              log=lambda msg: None)
+    # the same flags resume: the checkpoint is already at its last step
+    train(cfg.model, cfg.train, [], FLAGS_FULL, ckpt, tmp_path / "loss.csv",
+          fingerprint=fingerprint(cfg), log=lambda msg: None)
 
 
 def test_ablate_ladder_csv(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gradcheck import check_scalar_fn
-from ifa_reference import (aggregate_reference_point, deformable_sample,
+from ifa_reference import (aggregate_reference_point, composite_layer_norm,
+                           composite_weighted_sample, deformable_sample,
                            reference_block_forward)
 from viewfuse.geometry import (CameraModel, Pose, apply_pose_noise,
                                project_points, relative_pose)
@@ -17,7 +18,7 @@ from viewfuse.ifa import (
     ifa_cascade,
 )
 from viewfuse.scene import SceneConfig, make_ring_rig
-from viewfuse.tensor import Tensor, bilinear_sample
+from viewfuse.tensor import Tensor, bilinear_sample, layer_norm, softmax
 
 
 def _ring_cam(k=0):
@@ -115,6 +116,78 @@ def test_sample_differentiable_into_query_and_map():
         return (out * Tensor(np.array([0.7, -1.1, 0.4]))).sum()
 
     check_scalar_fn(build, [q0, fmap0], tol=1e-4)
+
+
+# ---- single-node ops against their generic-op composites ----
+
+
+def _grads_after(out, seed_grad, leaves):
+    for t in leaves:
+        t.zero_grad()
+    (out * Tensor(seed_grad)).sum().backward()
+    return [t.grad for t in leaves]
+
+
+def _assert_close_rel(a, b, tol=1e-12):
+    scale = max(np.max(np.abs(b)), 1e-300)
+    assert np.max(np.abs(a - b)) <= tol * scale
+
+
+def _sampling_inputs(rng, n_view, c, fh, fw, m, k):
+    """Maps, points, per-point views and softmax weights for M rows of K.
+
+    Points spread from two cells off the map to past its far edges; a
+    quarter of them sit in the one-cell band below the last row or past the
+    last column, where the next map of a stack starts in flat memory.
+    """
+    shape = (c, fh, fw) if n_view is None else (n_view, c, fh, fw)
+    maps = Tensor(rng.normal(size=shape), requires_grad=True)
+    p = np.stack([rng.uniform(-2.5, fw + 1.5, m * k),
+                  rng.uniform(-2.5, fh + 1.5, m * k)], axis=1)
+    band = np.nonzero(rng.random(m * k) < 0.25)[0]
+    col = rng.random(band.size) < 0.5
+    edge = rng.uniform(0.05, 0.95, band.size)
+    p[band, 0] = np.where(col, fw - 1 + edge, rng.uniform(0, fw - 1, band.size))
+    p[band, 1] = np.where(col, rng.uniform(0, fh - 1, band.size), fh - 1 + edge)
+    pts = Tensor(p, requires_grad=True)
+    view = None if n_view is None else np.repeat(rng.integers(0, n_view, m), k)
+    wts = softmax(Tensor(rng.normal(size=(m, k)), requires_grad=True))
+    return maps, pts, view, wts
+
+
+@pytest.mark.parametrize("n_view, c, fh, fw, m, k", [
+    (5, 32, 12, 20, 700, 4),     # IFA: a view stack, one view per row
+    (None, 32, 32, 32, 64, 4),   # decoder: the BEV map, one row per query
+])
+def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
+    rng = np.random.default_rng(n_view or 0)
+    maps, pts, view, wts = _sampling_inputs(rng, n_view, c, fh, fw, m, k)
+    fused = bilinear_sample(maps, pts, view, wts)
+    composite = composite_weighted_sample(maps, pts, view, wts)
+    assert fused.data.tobytes() == composite.data.tobytes()
+    g = rng.normal(size=fused.shape)
+    leaves = [maps, pts, wts]
+    for a, b in zip(_grads_after(fused, g, leaves),
+                    _grads_after(composite, g, leaves)):
+        _assert_close_rel(a, b)
+
+
+@pytest.mark.parametrize("rows, c", [(1024, 32), (64, 32)])
+def test_layer_norm_matches_composite(rows, c):
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, c)) * rng.uniform(0.01, 10.0, (rows, 1))
+    x[0] = 3.0                     # a constant row: variance 0, eps only
+    x = Tensor(x, requires_grad=True)
+    gamma = Tensor(rng.normal(size=c), requires_grad=True)
+    beta = Tensor(rng.normal(size=c), requires_grad=True)
+    fused = layer_norm(x, gamma, beta)
+    composite = composite_layer_norm(x, gamma, beta)
+    assert fused.data.tobytes() == composite.data.tobytes()
+    g = rng.normal(size=fused.shape)
+    leaves = [x, gamma, beta]
+    for a, b in zip(_grads_after(fused, g, leaves),
+                    _grads_after(composite, g, leaves)):
+        _assert_close_rel(a, b)
 
 
 # ---- aggregation ----
@@ -363,6 +436,23 @@ def test_block_bit_identical_to_per_view_reference():
             assert a is None
             continue
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_block_sums_views_in_sorted_order():
+    # four views share one camera and pose, so each observed cell has four
+    # sightings per height and the order of the view sum shows in the bits
+    rng = np.random.default_rng(13)
+    c = 4
+    spec = BevGridSpec()
+    block = IfaBlock(c=c, n_da=4, rng=rng)
+    for t in block.params().values():
+        t.data[:] += rng.normal(0.0, 0.3, t.shape)
+    views = [_view(rng.normal(size=(c, 20, 32)), agent_id=a) for a in range(4)]
+    q0 = rng.normal(size=(c, spec.grid_h, spec.grid_w))
+    got = ifa_block_forward(block, Tensor(q0),
+                            [views[i] for i in (2, 0, 3, 1)], spec)
+    want = reference_block_forward(block, Tensor(q0), views, spec)
+    np.testing.assert_array_equal(got.data, want.data)
 
 
 # ---- cascade ----

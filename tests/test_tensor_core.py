@@ -103,6 +103,17 @@ def test_bilinear_stack_band_does_not_bleed_into_next_view():
         bilinear_sample(maps, pts)
 
 
+def test_bilinear_weights_sum_each_row_of_points():
+    fmap = Tensor(np.arange(12, dtype=np.float64).reshape(1, 3, 4))
+    pts = np.array([[0.0, 0.0], [3.0, 2.0], [1.0, 1.0], [0.5, 0.0]])
+    out = bilinear_sample(fmap, pts, weights=np.array([[0.25, 2.0], [1.0, -1.0]]))
+    np.testing.assert_array_equal(out.data, [[22.0], [4.5]])
+    with pytest.raises(ShapeError, match="weights"):
+        bilinear_sample(fmap, pts, weights=np.ones((3, 1)))
+    with pytest.raises(ShapeError, match="weights"):
+        bilinear_sample(fmap, pts, weights=np.ones(4))
+
+
 def test_focal_loss_single_positive_example():
     # p = 0.5, alpha 0.25, gamma 2 -> 0.25 * 0.25 * ln 2
     out = focal_loss(Tensor(np.zeros((1, 1))), [0], alpha=0.25, gamma=2.0)
