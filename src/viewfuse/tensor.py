@@ -14,9 +14,12 @@ into it.
 Two hot composites are single nodes with hand-written VJPs, so a graph
 keeps one output per call instead of every intermediate: ``layer_norm``
 (closed-form backward) and ``bilinear_sample``, whose per-point weights
-make it the whole weighted sum of deformable attention. Their forwards
-evaluate the same numpy expressions in the same order as the op-by-op
-versions, so they produce the same bits; their backwards may reassociate.
+make it the whole weighted sum of deformable attention. Its backward is
+closed-form too: one sparse product for the map gradient, and one dot
+product per (point, corner) of map value and output gradient for the point
+and weight gradients. Their forwards multiply and add in the same order as
+the op-by-op versions, so they produce the same bits; their backwards may
+reassociate.
 
 All arithmetic is float64 end to end; there is no dtype promotion to fight.
 """
@@ -393,6 +396,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._make(y * gamma.data + beta.data, (x, gamma, beta), vjp)
 
 
+# Output rows per gather in the point and weight VJPs: bounds the
+# [rows, 4K, C] block of corner values that one gather holds.
+SAMPLE_CHUNK_ROWS = 256
+
+
 def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     """Weighted sums of bilinear samples of ``fmap`` at ``pts`` ([N, 2] of (u, v)).
 
@@ -406,11 +414,16 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     ``weights`` ([M, K] with M * K == N) groups the points into M rows of K
     consecutive points; output row m is sum_k weights[m, k] * sample[m*K + k],
     [M, C]. Without weights every point is its own row with weight 1, [N, C].
-    This is one autodiff node: one sparse interpolation matrix and its u and
-    v derivatives give the forward and the VJPs in the map, the points and
-    the weights, and only the [N, C] samples stay alive for the backward.
-    Each sample sums its corners in the fixed order 00, 10, 01, 11 (u
-    offset, then v offset), then each row sums its K weighted samples.
+    This is one autodiff node. The forward is one sparse interpolation
+    matrix times the flattened map: each sample sums its corners in the
+    fixed order 00, 10, 01, 11 (u offset, then v offset), then each row sums
+    its K weighted samples. The map VJP is one [M, V*H*W] sparse matrix of
+    corner weight x row weight, transposed, times the output gradient. The
+    point and weight VJPs need only the dot product of each corner's map
+    value with its row's output gradient, gathered SAMPLE_CHUNK_ROWS rows at
+    a time: the corner weights turn these into the weight gradient, their
+    u and v differences into the point gradient. At an integer u or v that
+    is the derivative from above, the side whose corners the sample reads.
     """
     fmap = as_tensor(fmap)
     if fmap.ndim not in (3, 4) or (fmap.ndim == 4) != (view is not None):
@@ -434,38 +447,50 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
 
     u0 = np.floor(p[:, 0]).astype(np.intp)
     v0 = np.floor(p[:, 1]).astype(np.intp)
-    fu = (p[:, 0] - u0)[:, None]
-    fv = (p[:, 1] - v0)[:, None]
-    ui = u0[:, None] + np.array([0, 1, 0, 1])
-    vi = v0[:, None] + np.array([0, 0, 1, 1])
-    ok = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-    cols = np.where(ok, (view[:, None] * h + vi) * w + ui, 0).ravel()
-    rows = np.arange(0, cols.size + 1, 4)
-
-    def interp(wgt):
-        return csr_matrix(((wgt * ok).ravel(), cols, rows),
-                          shape=(n, flat.shape[0]))
-
-    a = interp(np.hstack([(1 - fu) * (1 - fv), fu * (1 - fv),
-                          (1 - fu) * fv, fu * fv]))
-    samp = (a @ flat).reshape(m, k, c)
-    out = (samp * wts.data.reshape(m, k, 1)).sum(axis=1)
+    fu = p[:, 0] - u0
+    fv = p[:, 1] - v0
+    # is the lower / upper lattice line of each axis inside the map
+    u_in = ((u0 >= 0) & (u0 < w), (u0 >= -1) & (u0 < w - 1))
+    v_in = ((v0 >= 0) & (v0 < h), (v0 >= -1) & (v0 < h - 1))
+    ok = np.stack([u_in[0] & v_in[0], u_in[1] & v_in[0],
+                   u_in[0] & v_in[1], u_in[1] & v_in[1]], axis=1)
+    base = (view * h + v0) * w + u0
+    cols = np.where(ok, base[:, None] + np.array([0, 1, w, w + 1]), 0).ravel()
+    # the masks zero a corner off the lattice and leave a valid one's bits
+    wu = ((1 - fu) * u_in[0], fu * u_in[1])
+    wv = ((1 - fv) * v_in[0], fv * v_in[1])
+    corner = np.stack([wu[0] * wv[0], wu[1] * wv[0],
+                       wu[0] * wv[1], wu[1] * wv[1]], axis=1)      # [N, 4]
+    a = csr_matrix((corner.ravel(), cols, np.arange(0, 4 * n + 1, 4)),
+                   shape=(n, flat.shape[0]))
+    out = np.einsum("mkc,mk->mc", (a @ flat).reshape(m, k, c), wts.data)
 
     def vjp(g):
         gmap = gp = gw = None
         if fmap.requires_grad:
-            gs = (g[:, None, :] * wts.data[:, :, None]).reshape(n, c)
-            gmap = (a.T @ gs).reshape(n_v, h * w, c).transpose(0, 2, 1)
+            bw = csr_matrix(((corner * wts.data.reshape(n, 1)).ravel(), cols,
+                             np.arange(0, 4 * n + 1, 4 * k)),
+                            shape=(m, flat.shape[0]))
+            gmap = (bw.T @ g).reshape(n_v, h * w, c).transpose(0, 2, 1)
             gmap = gmap.reshape(fmap.shape)
-        if pts.requires_grad:
-            # d(out[m]) / d(pt[m*K + k]) = weights[m, k] * d(sample) / d(pt)
-            du = interp(np.hstack([fv - 1, 1 - fv, -fv, fv]))
-            dv = interp(np.hstack([fu - 1, -fu, 1 - fu, fu]))
-            gp = np.stack([np.einsum("mkc,mc->mk", (d @ flat).reshape(m, k, c), g)
-                           for d in (du, dv)], axis=-1)
-            gp = (gp * wts.data[:, :, None]).reshape(n, 2)
-        if wts.requires_grad:
-            gw = np.einsum("mkc,mc->mk", samp, g)
+        if pts.requires_grad or wts.requires_grad:
+            # d[n, j]: corner j's map value . the output gradient of n's row
+            d = np.empty(4 * n)
+            for lo in range(0, m, SAMPLE_CHUNK_ROWS):
+                sel = slice(lo * 4 * k, (lo + SAMPLE_CHUNK_ROWS) * 4 * k)
+                vals = flat[cols[sel]].reshape(-1, 4 * k, c)
+                d[sel] = (vals @ g[lo:lo + SAMPLE_CHUNK_ROWS, :, None]).ravel()
+            d = d.reshape(n, 4) * ok
+            if pts.requires_grad:
+                # d(out[m]) / d(pt[m*K + k]) = weights[m, k] * d(sample) / d(pt)
+                wp = wts.data.reshape(n)
+                gu = wp * ((1 - fv) * (d[:, 1] - d[:, 0])
+                           + fv * (d[:, 3] - d[:, 2]))
+                gv = wp * ((1 - fu) * (d[:, 2] - d[:, 0])
+                           + fu * (d[:, 3] - d[:, 1]))
+                gp = np.stack([gu, gv], axis=1)
+            if wts.requires_grad:
+                gw = (corner * d).sum(axis=1).reshape(m, k)
         return (gmap, gp, gw)
 
     return Tensor._make(out, (fmap, pts, wts), vjp)

@@ -7,7 +7,7 @@ import pytest
 from gradcheck import check_scalar_fn
 from ifa_reference import (aggregate_reference_point, composite_layer_norm,
                            composite_weighted_sample, deformable_sample,
-                           reference_block_forward)
+                           reference_bilinear_sample, reference_block_forward)
 from viewfuse.geometry import (CameraModel, Pose, apply_pose_noise,
                                project_points, relative_pose)
 from viewfuse.ifa import (
@@ -18,7 +18,8 @@ from viewfuse.ifa import (
     ifa_cascade,
 )
 from viewfuse.scene import SceneConfig, make_ring_rig
-from viewfuse.tensor import Tensor, bilinear_sample, layer_norm, softmax
+from viewfuse.tensor import (SAMPLE_CHUNK_ROWS as CHUNK, Tensor,
+                             bilinear_sample, layer_norm, softmax)
 
 
 def _ring_cam(k=0):
@@ -149,6 +150,15 @@ def _sampling_inputs(rng, n_view, c, fh, fw, m, k):
     edge = rng.uniform(0.05, 0.95, band.size)
     p[band, 0] = np.where(col, fw - 1 + edge, rng.uniform(0, fw - 1, band.size))
     p[band, 1] = np.where(col, rng.uniform(0, fh - 1, band.size), fh - 1 + edge)
+    # an eighth each on a lattice column, on a lattice row, on the last
+    # column, on the last row and half-way between lattice lines in both
+    # axes; on a line the point gradient is the one-sided one from above
+    kind = rng.integers(0, 8, m * k)
+    p[kind == 1, 0] = np.floor(p[kind == 1, 0])
+    p[kind == 2, 1] = np.floor(p[kind == 2, 1])
+    p[kind == 3, 0] = fw - 1
+    p[kind == 4, 1] = fh - 1
+    p[kind == 5] = np.floor(p[kind == 5]) + 0.5
     pts = Tensor(p, requires_grad=True)
     view = None if n_view is None else np.repeat(rng.integers(0, n_view, m), k)
     wts = softmax(Tensor(rng.normal(size=(m, k)), requires_grad=True))
@@ -158,6 +168,10 @@ def _sampling_inputs(rng, n_view, c, fh, fw, m, k):
 @pytest.mark.parametrize("n_view, c, fh, fw, m, k", [
     (5, 32, 12, 20, 700, 4),     # IFA: a view stack, one view per row
     (None, 32, 32, 32, 64, 4),   # decoder: the BEV map, one row per query
+    # row counts below, at a multiple of and one past the VJP's gather chunk
+    (3, 8, 6, 7, CHUNK - 1, 4),
+    (3, 8, 6, 7, 2 * CHUNK, 4),
+    (None, 8, 6, 7, CHUNK + 1, 2),
 ])
 def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
     rng = np.random.default_rng(n_view or 0)
@@ -170,6 +184,14 @@ def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
     for a, b in zip(_grads_after(fused, g, leaves),
                     _grads_after(composite, g, leaves)):
         _assert_close_rel(a, b)
+    if n_view is None:
+        # the four-gather reference shares no code with the op
+        ref = (reference_bilinear_sample(maps, pts).reshape(m, k, c)
+               * wts.reshape(m, k, 1)).sum(axis=1)
+        assert fused.data.tobytes() == ref.data.tobytes()
+        for a, b in zip(_grads_after(fused, g, leaves),
+                        _grads_after(ref, g, leaves)):
+            _assert_close_rel(a, b)
 
 
 @pytest.mark.parametrize("rows, c", [(1024, 32), (64, 32)])

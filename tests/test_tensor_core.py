@@ -114,6 +114,20 @@ def test_bilinear_weights_sum_each_row_of_points():
         bilinear_sample(fmap, pts, weights=np.ones(4))
 
 
+@pytest.mark.parametrize("shape, view", [((3, 4, 5), None),
+                                         ((2, 3, 4, 5), np.zeros(0, np.intp))])
+@pytest.mark.parametrize("k", [None, 4])
+def test_bilinear_empty_input(shape, view, k):
+    fmap = Tensor(np.ones(shape), requires_grad=True)
+    pts = Tensor(np.zeros((0, 2)), requires_grad=True)
+    wts = None if k is None else Tensor(np.zeros((0, k)), requires_grad=True)
+    out = bilinear_sample(fmap, pts, view, wts)
+    assert out.shape == (0, 3)
+    out.sum().backward()
+    for t in (fmap, pts) if wts is None else (fmap, pts, wts):
+        assert t.grad.shape == t.shape and not t.grad.any()
+
+
 def test_focal_loss_single_positive_example():
     # p = 0.5, alpha 0.25, gamma 2 -> 0.25 * 0.25 * ln 2
     out = focal_loss(Tensor(np.zeros((1, 1))), [0], alpha=0.25, gamma=2.0)
