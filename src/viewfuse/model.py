@@ -284,11 +284,6 @@ def _adapt_queries(model: PipelineModel, shared: list[SharedInstance],
                                 model.anchor_grid)
 
 
-def _check_ego(scene: Scene, ego: int) -> None:
-    if not (0 <= ego < len(scene.agents)):
-        raise ValueError(f"no agent {ego} in a {len(scene.agents)}-agent scene")
-
-
 def model_forward(model: PipelineModel, scene: Scene,
                   flags: PipelineFlags = FLAGS_FULL, *, wire: bool,
                   noise_sigma: float = 0.0,
@@ -309,7 +304,8 @@ def model_forward(model: PipelineModel, scene: Scene,
             f"expects {model.cfg.feat_c}")
     if c_thre is None:
         c_thre = model.cfg.c_thre
-    _check_ego(scene, ego)
+    if not (0 <= ego < len(scene.agents)):
+        raise ValueError(f"no agent {ego} in a {len(scene.agents)}-agent scene")
     ledger = CommLedger()
     believed = _believed_poses(scene, noise_sigma, noise_rng, ego)
     ego_rig = scene.agents[ego]
@@ -342,15 +338,14 @@ def model_forward(model: PipelineModel, scene: Scene,
 
 
 def ego_frame_targets(scene: Scene, spec: BevGridSpec,
-                      vis_min: float = 0.05, ego: int = 0) -> list[GtBox]:
+                      vis_min: float = 0.05) -> list[GtBox]:
     """GT boxes inside the grid, seen by at least one agent of the scene.
 
-    Boxes come back in the frame of agent ``ego``, the frame that
-    ``model_forward(ego=ego)`` predicts in; the grid is centred on it.
+    Boxes come back in the frame of agent 0 (``scene.ego``), the frame of
+    ``model_forward(ego=0)``; every caller that builds targets uses ego 0.
     """
-    _check_ego(scene, ego)
-    pose = scene.agents[ego].pose
-    w2e = invert(pose)
+    ego = scene.ego.pose
+    w2e = invert(ego)
     half_x = spec.grid_w // 2 * spec.resolution
     half_y = spec.grid_h // 2 * spec.resolution
     out = []
@@ -364,7 +359,7 @@ def ego_frame_targets(scene: Scene, spec: BevGridSpec,
             continue
         out.append(GtBox(obj_id=b.obj_id, x=float(p[0]), y=float(p[1]),
                          z=float(p[2]), w=b.w, l=b.l, h=b.h,
-                         yaw=normalize_angle(b.yaw - pose.yaw),
+                         yaw=normalize_angle(b.yaw - ego.yaw),
                          cls=b.cls, occluded=b.occluded))
     return out
 

@@ -463,7 +463,9 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
                        wu[0] * wv[1], wu[1] * wv[1]], axis=1)      # [N, 4]
     a = csr_matrix((corner.ravel(), cols, np.arange(0, 4 * n + 1, 4)),
                    shape=(n, flat.shape[0]))
-    out = np.einsum("mkc,mk->mc", (a @ flat).reshape(m, k, c), wts.data)
+    samp = (a @ flat).reshape(m, k, c)
+    samp *= wts.data.reshape(m, k, 1)      # in place: no [M, K, C] temporary
+    out = samp.sum(axis=1)
 
     def vjp(g):
         gmap = gp = gw = None

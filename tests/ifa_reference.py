@@ -59,11 +59,16 @@ def aggregate_reference_point(f_per_view: list[Tensor], flags) -> Tensor | None:
     return total * (1.0 / len(chosen))
 
 
-def reference_bilinear_sample(fmap: Tensor, pts: Tensor) -> Tensor:
-    """Single-map bilinear sampling by four corner gathers and np.add.at."""
-    c, h, w = fmap.shape
+def reference_bilinear_sample(fmap: Tensor, pts: Tensor, view=None) -> Tensor:
+    """Bilinear sampling by four corner gathers and np.add.at.
+
+    ``fmap`` is one map [C, H, W], or a stack [V, C, H, W] with ``view``
+    naming each point's map; a corner counts only inside its own map.
+    """
+    n_v, c, h, w = (1,) + fmap.shape if view is None else fmap.shape
     p = pts.data
-    flat = fmap.data.reshape(c, h * w).T
+    view = np.zeros(p.shape[0], np.intp) if view is None else np.asarray(view)
+    flat = fmap.data.reshape(n_v, c, h * w).transpose(0, 2, 1).reshape(-1, c)
     u0 = np.floor(p[:, 0]).astype(np.intp)
     v0 = np.floor(p[:, 1]).astype(np.intp)
     fu = p[:, 0] - u0
@@ -73,7 +78,7 @@ def reference_bilinear_sample(fmap: Tensor, pts: Tensor) -> Tensor:
                         (1, 0, (1 - fu) * fv), (1, 1, fu * fv)):
         ui, vi = u0 + du, v0 + dv
         ok = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-        lin = np.where(ok, vi * w + ui, 0)
+        lin = np.where(ok, (view * h + vi) * w + ui, 0)
         corners.append((lin, ok, wgt, flat[lin] * ok[:, None]))
     out = np.zeros((p.shape[0], c))
     for _, _, wgt, val in corners:
@@ -87,7 +92,8 @@ def reference_bilinear_sample(fmap: Tensor, pts: Tensor) -> Tensor:
         du_val = (1 - fv)[:, None] * (v10 - v00) + fv[:, None] * (v11 - v01)
         dv_val = (1 - fu)[:, None] * (v01 - v00) + fu[:, None] * (v11 - v10)
         gp = np.stack([(g * du_val).sum(axis=1), (g * dv_val).sum(axis=1)], 1)
-        return gflat.T.reshape(c, h, w), gp
+        gmap = gflat.reshape(n_v, h * w, c).transpose(0, 2, 1)
+        return gmap.reshape(fmap.shape), gp
 
     return Tensor._make(out, (fmap, pts), vjp)
 

@@ -184,14 +184,13 @@ def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
     for a, b in zip(_grads_after(fused, g, leaves),
                     _grads_after(composite, g, leaves)):
         _assert_close_rel(a, b)
-    if n_view is None:
-        # the four-gather reference shares no code with the op
-        ref = (reference_bilinear_sample(maps, pts).reshape(m, k, c)
-               * wts.reshape(m, k, 1)).sum(axis=1)
-        assert fused.data.tobytes() == ref.data.tobytes()
-        for a, b in zip(_grads_after(fused, g, leaves),
-                        _grads_after(ref, g, leaves)):
-            _assert_close_rel(a, b)
+    # the four-gather reference shares no code with the op
+    ref = (reference_bilinear_sample(maps, pts, view).reshape(m, k, c)
+           * wts.reshape(m, k, 1)).sum(axis=1)
+    assert fused.data.tobytes() == ref.data.tobytes()
+    for a, b in zip(_grads_after(fused, g, leaves),
+                    _grads_after(ref, g, leaves)):
+        _assert_close_rel(a, b)
 
 
 @pytest.mark.parametrize("rows, c", [(1024, 32), (64, 32)])

@@ -1,6 +1,4 @@
 """Pipeline assembly: forward paths, training step, checkpoints."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -117,21 +115,6 @@ def test_targets_frame_and_filters(setup):
     ego_only = ego_frame_targets(truncate_scene(scene, 1), model.spec,
                                  vis_min=0.05)
     assert {g.obj_id for g in ego_only} <= {g.obj_id for g in gts}
-
-
-def test_targets_follow_the_ego(setup):
-    scene, model = setup
-    at1 = scene.agents[1].pose
-    moved = replace(scene, _rasters={}, boxes=[
-        replace(b, x=at1.x, y=at1.y) if i == 0 else b
-        for i, b in enumerate(scene.boxes)])
-    gts = ego_frame_targets(moved, model.spec, vis_min=0.0, ego=1)
-    g = next(g for g in gts if g.obj_id == scene.boxes[0].obj_id)
-    np.testing.assert_allclose([g.x, g.y], [0.0, 0.0], atol=1e-12)
-    assert (ego_frame_targets(scene, model.spec, 0.05, ego=0)
-            == ego_frame_targets(scene, model.spec, 0.05))
-    with pytest.raises(ValueError, match="no agent 2"):
-        ego_frame_targets(scene, model.spec, ego=len(scene.agents))
 
 
 def test_train_step_deterministic_and_finite():
