@@ -63,8 +63,7 @@ def rotated_iou_bev(a, b) -> float:
         raise ValueError("boxes need positive sizes")
     ca = rect_corners(a.x, a.y, a.w, a.l, a.yaw)
     cb = rect_corners(b.x, b.y, b.w, b.l, b.yaw)
-    inter_poly = clip_convex(ca, cb)
-    inter = polygon_area(inter_poly) if len(inter_poly) >= 3 else 0.0
+    inter = polygon_area(clip_convex(ca, cb))
     union = a.w * a.l + b.w * b.l - inter
     return inter / union if union > 0.0 else 0.0
 

@@ -311,14 +311,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradient splits back to the inputs."""
     ts = [as_tensor(t) for t in tensors]

@@ -25,6 +25,7 @@ from viewfuse.eval import (
     run_no_collaboration,
     sweep,
 )
+from viewfuse.geometry import clip_convex, polygon_area, rect_corners
 from viewfuse.scene import GtBox, generate_scene
 
 import eval_reference as ref
@@ -106,6 +107,92 @@ def test_iou_against_monte_carlo():
         exact = rotated_iou_bev(a, b)
         approx = mc_iou(a, b, 200_000, rng)
         assert abs(exact - approx) < 0.015
+
+
+def oracle_corpus(rng):
+    """Box pairs for the bit-identity test, ordinary and degenerate."""
+    pairs = []
+    # near pairs over the decoder's working range of sizes
+    for _ in range(3000):
+        wa, la, wb, lb = np.exp(rng.uniform(-4.0, 2.5, 4))
+        a = det(x=rng.uniform(-60, 60), y=rng.uniform(-60, 60), w=wa, l=la,
+                yaw=rng.uniform(-4, 4))
+        r = 0.5 * (math.hypot(wa, la) + math.hypot(wb, lb)) * rng.uniform(0, 1.1)
+        t = rng.uniform(-math.pi, math.pi)
+        pairs.append((a, det(x=a.x + r * math.cos(t), y=a.y + r * math.sin(t),
+                             w=wb, l=lb, yaw=rng.uniform(-4, 4))))
+    for _ in range(100):
+        a = det(x=rng.uniform(-30, 30), y=rng.uniform(-30, 30),
+                w=rng.uniform(0.5, 3), l=rng.uniform(1, 6), yaw=rng.uniform(-4, 4))
+        # identical, turned by 180 degrees, and contained
+        pairs.append((a, dataclasses.replace(a)))
+        pairs.append((a, dataclasses.replace(a, yaw=a.yaw + math.pi)))
+        m = rng.uniform(0.05, 0.6) * min(a.w, a.l)
+        pairs.append((a, dataclasses.replace(
+            a, x=a.x + 0.1 * m, w=m, l=m, yaw=rng.uniform(-4, 4))))
+        # 1e-9 m wide, across the box and along its edge
+        pairs.append((a, dataclasses.replace(a, w=1e-9, yaw=a.yaw + 0.7)))
+        pairs.append((a, dataclasses.replace(
+            a, x=a.x - 0.5 * a.w * math.sin(a.yaw),
+            y=a.y + 0.5 * a.w * math.cos(a.yaw), w=1e-9)))
+        # centres at 1e3 m
+        b = dataclasses.replace(a, x=a.x + 1e3, y=a.y - 1e3)
+        pairs.append((b, dataclasses.replace(
+            b, x=b.x + rng.uniform(-2, 2), yaw=rng.uniform(-4, 4))))
+    # edge contact: shared edges, flush and offset, axis-aligned and turned
+    for yaw in (0.0, 0.3, math.pi / 2, -2.4):
+        c, s = math.cos(yaw), math.sin(yaw)
+        for along, across in ((4.0, 0.0), (4.0, 1.0), (0.0, 2.0), (1.5, 2.0)):
+            a = det(x=1.5, y=-0.5, yaw=yaw)
+            pairs.append((a, det(x=1.5 + c * along - s * across,
+                                 y=-0.5 + s * along + c * across, yaw=yaw)))
+    # corner contact, diagonals on the centre line, within 1e-9 m
+    for theta in (0.0, 0.3, 1.1, -2.4):
+        d = 0.5 * (math.hypot(2.0, 4.0) + math.hypot(1.0, 3.0))
+        for gap in (0.0, 1e-9, -1e-9):
+            pairs.append((
+                det(yaw=theta - math.atan2(2.0, 4.0)),
+                det(x=(d + gap) * math.cos(theta), y=(d + gap) * math.sin(theta),
+                    w=1.0, l=3.0, yaw=theta - math.atan2(1.0, 3.0))))
+    # signed zeros, a NaN centre and an inf centre
+    zero = det(x=-0.0, y=-0.0, yaw=-0.0)
+    pairs += [(zero, det()), (zero, det(x=-0.0, w=1.0, l=1.0)),
+              (det(x=math.nan), det()), (det(y=math.inf), det())]
+    return pairs
+
+
+def test_clip_area_and_iou_equal_the_numpy_scalar_reference():
+    """Python-float clipping gives the numpy-scalar loop's bits: every
+    vertex, every area and every IoU."""
+    rng = np.random.default_rng(11)
+    pairs = oracle_corpus(rng)
+    polys = []
+    for a, b in pairs:
+        ca = rect_corners(a.x, a.y, a.w, a.l, a.yaw)
+        cb = rect_corners(b.x, b.y, b.w, b.l, b.yaw)
+        polys += [(ca, cb), (cb, ca)]
+    # a triangle and a pentagon, as subject and as clip
+    tri = np.array([[0.0, 0.0], [3.0, 0.2], [1.1, 2.5]])
+    pent = np.array([[math.cos(t), math.sin(t)] for t in
+                     np.linspace(0.3, 0.3 + 2 * math.pi, 5, endpoint=False)])
+    for _ in range(200):
+        off = rng.uniform(-2, 2, 2)
+        rect = rect_corners(*rng.uniform(-1, 1, 2), *np.exp(rng.uniform(-1, 1, 2)),
+                            rng.uniform(-4, 4))
+        for shape in (tri + off, 1.7 * pent + off):
+            polys += [(shape, rect), (rect, shape), (shape, tri), (pent, shape)]
+    n_clipped = 0
+    with np.errstate(all="ignore"):
+        for subject, clip in polys:
+            got, want = clip_convex(subject, clip), ref.clip_convex(subject, clip)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert polygon_area(got).hex() == ref.polygon_area(want).hex()
+            n_clipped += len(got) >= 3
+        for a, b in pairs:
+            for p, q in ((a, b), (b, a)):
+                assert rotated_iou_bev(p, q).hex() == ref.rotated_iou(p, q).hex()
+    assert n_clipped > len(polys) // 2
 
 
 # ---- AP ----
