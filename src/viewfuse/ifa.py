@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .geometry import CameraModel, Pose, project_points
 from .tensor import (
@@ -169,6 +170,7 @@ class Sightings:
     cell: np.ndarray          # [M]
     v_inv: np.ndarray         # [n_ref, H*W] 1 / observing views, 0 if none
     h_inv: np.ndarray         # [H*W] 1 / observed heights, 0 if none
+    v_sum: csr_matrix         # [n_ref*H*W, M] ones: row (height, cell) sums its views
 
 
 def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
@@ -198,25 +200,29 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
     h_cnt = (v_cnt > 0).sum(axis=0)
     maps = concat([f.reshape((1,) + f.shape) for f, _, _ in seen]) \
         if seen else None
+    # a stable sort keeps each row's columns, its views, in sorted order
+    rows = height * refs.shape[1] + cell
+    v_sum = csr_matrix((np.ones(rows.size), np.argsort(rows, kind="stable"),
+                        np.concatenate([[0], np.cumsum(v_cnt.ravel())])),
+                       shape=(v_cnt.size, rows.size))
     return Sightings(maps=maps, uv=uv[height, view, cell], height=height,
                      view=view, cell=cell,
                      v_inv=np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0),
-                     h_inv=np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0))
+                     h_inv=np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0),
+                     v_sum=v_sum)
 
 
 def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
     """[H*W, C] mean over heights of the mean over views, from [M, C] triples.
 
-    Views add up in sorted order per height, then heights in order, so the
-    mean is bit-stable under view permutations; the VJP scales each
-    triple's gradient by 1 / (views at its height x heights of its cell).
+    Views add up in sorted order per height, from 0.0, then heights in
+    order, so the mean is bit-stable under view permutations; the VJP
+    scales each triple's gradient by 1 / (views at its height x heights of
+    its cell).
     """
     n_ref, hw = s.v_inv.shape
-    v_sum = np.zeros((n_ref, hw, f.shape[1]))
-    for k in range(s.maps.shape[0]):
-        # a view sees each (height, cell) at most once
-        sel = s.view == k
-        v_sum[s.height[sel], s.cell[sel]] += f.data[sel]
+    # scipy sums each row's columns in order, from 0.0, times 1.0: exact
+    v_sum = (s.v_sum @ f.data).reshape(n_ref, hw, f.shape[1])
     part = v_sum * s.v_inv[..., None]
     h_sum = part[0]
     for h in range(1, n_ref):

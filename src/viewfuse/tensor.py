@@ -11,9 +11,10 @@ stale-state coupling between passes).
 operands of ``a + b`` get the same array. Replace a gradient, never write
 into it.
 
-Two hot composites are single nodes with hand-written VJPs, so a graph
-keeps one output per call instead of every intermediate: ``layer_norm``
-(closed-form backward) and ``bilinear_sample``, whose per-point weights
+Three hot composites are single nodes with hand-written VJPs, so a graph
+keeps one output per call instead of every intermediate: ``linear`` (one
+MLP layer: matmul, bias and optional ReLU), ``layer_norm`` (closed-form
+backward) and ``bilinear_sample``, whose per-point weights
 make it the whole weighted sum of deformable attention. Its backward is
 closed-form too: one sparse product for the map gradient, and one dot
 product per (point, corner) of map value and output gradient for the point
@@ -187,11 +188,6 @@ class Tensor:
         # subgradient at 0 is 0 (sign(0) == 0)
         return Tensor._make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
-    def relu(self):
-        a = self
-        mask = a.data > 0.0
-        return Tensor._make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
     def sigmoid(self):
         # stable two-branch evaluation
         x = self.data
@@ -255,9 +251,16 @@ class Tensor:
         if isinstance(out_data, np.ndarray) and out_data.base is not None:
             out_data = out_data.copy()
 
+        basic = all(k is None or k is Ellipsis or isinstance(k, slice)
+                    or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                    for k in (key if isinstance(key, tuple) else (key,)))
+
         def vjp(g):
             z = np.zeros_like(a.data)
-            np.add.at(z, key, g)   # a repeated index gets every share
+            if basic:
+                z[key] += g            # a basic key hits each element once
+            else:
+                np.add.at(z, key, g)   # a repeated index gets every share
             return (z,)
 
         return Tensor._make(np.asarray(out_data, dtype=np.float64), (a,), vjp)
@@ -386,6 +389,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         return (gx, _unbroadcast(g * y, gamma.shape), _unbroadcast(g, beta.shape))
 
     return Tensor._make(y * gamma.data + beta.data, (x, gamma, beta), vjp)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One fully connected layer ``x @ w + b``, then ReLU when ``relu`` is set.
+
+    One node: the forward runs ``(x @ w + b).relu()``'s numpy ops in the same
+    order, so it has the same bits (NaN maps to 0.0, no -0.0 survives), and
+    only the output and the ReLU mask stay alive for the VJP.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear expects 2-D operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear inner dims disagree: {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
+    y = x.data @ w.data
+    y += b.data
+    mask = None
+    if relu:
+        mask = y > 0.0
+        y = np.where(mask, y, 0.0)
+
+    def vjp(g):
+        if mask is not None:
+            g = g * mask
+        gx = g @ w.data.T if x.requires_grad else None
+        return (gx, x.data.T @ g, g.sum(axis=0))
+
+    return Tensor._make(y, (x, w, b), vjp)
 
 
 # Output rows per gather in the point and weight VJPs: bounds the
@@ -571,11 +604,9 @@ class Mlp:
         x = as_tensor(x)
         if x.shape[-1] != self.widths[0]:
             raise ShapeError(f"{self.name}: input width {x.shape[-1]} != {self.widths[0]}")
-        n = len(self.weights)
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < n - 1:
-                x = x.relu()
+            x = linear(x, w, b, relu=i < last)
         return x
 
     def params(self) -> dict[str, Tensor]:

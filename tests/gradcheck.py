@@ -72,6 +72,16 @@ def away_from(x: np.ndarray, points, margin: float = 1e-3) -> np.ndarray:
     return x
 
 
+def off_relu_kinks(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   margin: float = 1e-3) -> np.ndarray:
+    """Shift ``b`` per column until no pre-activation ``x @ w + b`` is near 0."""
+    b = np.array(b, dtype=np.float64)
+    for j in range(b.size):
+        while np.any(np.abs(x @ w[:, j] + b[j]) < margin):
+            b[j] += 2.0 * margin
+    return b
+
+
 def fractional_points(rng: np.random.Generator, n: int, w: int, h: int) -> np.ndarray:
     """Sample points with fractional parts in [0.1, 0.9], inside the lattice."""
     u = rng.integers(0, w - 1, n) + rng.uniform(0.1, 0.9, n)
@@ -115,7 +125,8 @@ def op_gradient_cases(rng: np.random.Generator):
     yield "log", lambda a: (a.log() * Tensor(wa)).sum(), [u((3, 4), 0.2, 3.0)]
     yield "sqrt", lambda a: (a.sqrt() * Tensor(wa)).sum(), [u((3, 4), 0.2, 3.0)]
     yield "abs", lambda a: (a.abs() * Tensor(wa)).sum(), [away_from(u((3, 4)), [0.0])]
-    yield "relu", lambda a: (a.relu() * Tensor(wa)).sum(), [away_from(u((3, 4)), [0.0])]
+    yield "relu", lambda a: (T.linear(a, Tensor(np.eye(4)), Tensor(np.zeros(4)), relu=True)
+                             * Tensor(wa)).sum(), [away_from(u((3, 4)), [0.0])]
     yield "sigmoid", lambda a: (a.sigmoid() * Tensor(wa)).sum(), [u((3, 4), -4.0, 4.0)]
     yield "softplus", lambda a: (a.softplus() * Tensor(wa)).sum(), [u((3, 4), -4.0, 4.0)]
     yield "matmul", lambda a, b: ((a @ b) * Tensor(w35)).sum(), [u((3, 4)), wb]
@@ -176,6 +187,18 @@ def op_gradient_cases(rng: np.random.Generator):
     yield "bilinear_weighted_pts", lambda p: weighted(Tensor(maps), p, wrow), [wpts]
     yield "bilinear_weighted_wts", lambda w: weighted(Tensor(maps), wpts, w), [wrow]
     yield "bilinear_weighted_all", weighted, [maps, wpts, wrow]
+
+    # one MLP layer, with and without ReLU, and on an input that needs no grad
+    lx, lw = u((3, 4)), u((4, 5))
+    lb = off_relu_kinks(lx, lw, u((5,)))
+
+    def layer(x, w, b, relu):
+        return (T.linear(x, w, b, relu=relu) * Tensor(w35)).sum()
+
+    yield "linear", lambda x, w, b: layer(x, w, b, False), [lx, lw, lb]
+    yield "linear_relu", lambda x, w, b: layer(x, w, b, True), [lx, lw, lb]
+    yield "linear_const_x", lambda w, b: layer(Tensor(lx), w, b, False), [lw, lb]
+    yield "linear_relu_const_x", lambda w, b: layer(Tensor(lx), w, b, True), [lw, lb]
 
 
 def run_op_gradient_suite(n_seeds: int, tol: float = 1e-5) -> int:

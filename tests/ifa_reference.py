@@ -6,9 +6,10 @@ the running view and height means. The library's ``ifa_block_forward``
 batches all of that into one sampling call and must reproduce this loop bit
 for bit. ``deformable_sample`` and ``aggregate_reference_point`` state the
 sampling and averaging formulas for a single point.
-``composite_weighted_sample`` and ``composite_layer_norm`` build weighted
-sampling and layer norm from generic ops, node by node; the library's
-single-node versions must match their forwards bit for bit.
+``composite_weighted_sample``, ``composite_layer_norm`` and
+``composite_linear`` build weighted sampling, layer norm and one MLP layer
+from generic ops, node by node; the library's single-node versions must
+match their forwards bit for bit (``linear`` its backward too).
 """
 from __future__ import annotations
 
@@ -169,3 +170,13 @@ def composite_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     var = (xc * xc).mean(axis=-1, keepdims=True)
     y = xc / (var + eps).sqrt()
     return y * gamma + beta
+
+
+def composite_linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One MLP layer as three nodes: matmul, bias add, then ReLU."""
+    x = x @ w + b
+    if relu:
+        a = x
+        mask = a.data > 0.0
+        x = Tensor._make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return x

@@ -12,6 +12,7 @@ from viewfuse.tensor import (
 )
 
 from gradcheck import check_scalar_fn, op_gradient_cases, run_op_gradient_suite
+from ifa_reference import composite_linear
 
 
 # ---- forward examples ----
@@ -187,6 +188,23 @@ def test_grad_accumulates_across_shared_use():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
+@pytest.mark.parametrize("key", [
+    (slice(1, 3),), (slice(None), slice(None, None, 2)), 2, (Ellipsis, 1),
+    (None, slice(1, 4)), (np.int64(3), slice(0, 2)),       # basic keys
+    np.array([0, 0, 2]), (slice(None), np.array([1, 1])),   # repeated rows
+    np.arange(5) % 2 == 0,
+])
+def test_getitem_grad_equals_add_at_bitwise(key):
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(5, 6, 4)), requires_grad=True)
+    g = rng.normal(size=a.data[key].shape)
+    g.flat[0] = -0.0               # 0.0 + -0.0 is +0.0, as np.add.at leaves it
+    (a[key] * Tensor(g)).sum().backward()
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, g)
+    assert a.grad.tobytes() == want.tobytes()
+
+
 def test_grad_reaches_intermediates():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     mid = x * 2.0
@@ -271,6 +289,90 @@ def test_mlp_final_zero_outputs_zero():
     np.testing.assert_allclose(out.data, 0.0)
 
 
+def test_linear_shape_errors():
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+    with pytest.raises(ShapeError, match=r"\(4, 3, 1\)"):
+        T.linear(Tensor(np.ones((4, 3, 1))), w, b)
+    with pytest.raises(ShapeError, match="inner dims"):
+        T.linear(Tensor(np.ones((4, 2))), w, b)
+    with pytest.raises(ShapeError, match="bias"):
+        T.linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros((1, 2))))
+
+
+def _count_vjp(root: Tensor) -> int:
+    """Nodes with a VJP reachable from ``root``."""
+    seen, stack, n = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        n += t._vjp is not None
+        stack.extend(t._parents)
+    return n
+
+
+@pytest.mark.parametrize("widths", [[4, 3], [4, 8, 3], [4, 8, 8, 8, 3]])
+def test_mlp_is_one_node_per_layer(widths):
+    mlp = Mlp(widths, np.random.default_rng(5))
+    out = mlp(Tensor(np.ones((2, 4)), requires_grad=True))
+    assert _count_vjp(out) == len(widths) - 1
+
+
+def _special_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str):
+    """Row 0 of ``x`` (and one bias entry) set to aim a pre-activation at a value.
+
+    "zero": an all-zero row on a zero bias entry gives exactly 0.0.
+    "negzero": signed subnormals whose products with the first layer's
+    column j all round towards -0.0, on a -0.0 bias; whether their sum is
+    -0.0 depends on how the BLAS kernel accumulates.
+    "nan": one NaN entry makes the whole row NaN.
+    """
+    j = int(np.argmin(np.abs(w).max(axis=0)))
+    if kind == "zero":
+        x[0], b[j] = 0.0, 0.0
+    elif kind == "negzero":
+        x[0], b[j] = np.where(w[:, j] > 0, -5e-324, 5e-324), -0.0
+    else:
+        x[0, 0] = np.nan
+    return j
+
+
+@pytest.mark.parametrize("rows, widths", [
+    (640, [32, 32, 32]),     # view-cell encoder
+    (1024, [32, 64, 32]),    # IFA FFN over the BEV grid
+    (1, [9, 32, 32]),        # cone descriptor
+    (64, [32, 32, 1]),       # class head over the queries
+])
+def test_mlp_matches_composite_layers(rows, widths):
+    rng = np.random.default_rng(rows)
+    mlp = Mlp(widths, rng)
+    for t in mlp.biases:
+        t.data[:] = rng.normal(0.0, 0.3, t.shape)
+    for kind in ("zero", "negzero", "nan"):
+        xd = rng.normal(size=(rows, widths[0]))
+        j = _special_rows(xd, mlp.weights[0].data, mlp.biases[0].data, kind)
+        z = (xd @ mlp.weights[0].data + mlp.biases[0].data)[0, j]
+        assert {"zero": z == 0.0, "negzero": True, "nan": np.isnan(z)}[kind]
+        x = Tensor(xd, requires_grad=True)
+        h = T.linear(x, mlp.weights[0], mlp.biases[0], relu=True).data
+        assert h[0, j] == 0.0 and not np.signbit(h).any()
+        leaves = [x] + mlp.weights + mlp.biases
+        fused = mlp(x)
+        composite = x
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            composite = composite_linear(composite, w, b, relu=i < len(mlp.weights) - 1)
+        assert fused.data.tobytes() == composite.data.tobytes()
+        g = rng.normal(size=fused.shape)
+        got = []
+        for out in (fused, composite):
+            for t in leaves:
+                t.zero_grad()
+            (out * Tensor(g)).sum().backward()
+            got.append([t.grad.tobytes() for t in leaves])
+        assert got[0] == got[1]
+
+
 # ---- gradient oracle ----
 
 def test_op_gradients_small():
@@ -288,8 +390,8 @@ def test_mlp_composed_gradient():
     pickw = rng.normal(size=(4, 2))
 
     def build(w0, b0, w1, b1):
-        h = (Tensor(x) @ w0 + b0).relu()
-        out = h @ w1 + b1
+        h = composite_linear(Tensor(x), w0, b0, relu=True)
+        out = composite_linear(h, w1, b1)
         return (out * Tensor(pickw)).sum()
 
     check_scalar_fn(build, [w[0], b[0], w[1], b[1]], tol=1e-4)
