@@ -46,24 +46,46 @@ class Detection:
 
 
 def rows_to_detections(rows: np.ndarray) -> list[Detection]:
-    """Decoded [N,8] rows (conf, x, y, z, w, l, h, yaw) to detections."""
+    """Decoded [N,8] rows (conf, x, y, z, w, l, h, yaw) to detections.
+
+    Every field is a Python float, as in a detection received on the wire.
+    """
     return [Detection(x=r[1], y=r[2], z=r[3], w=r[4], l=r[5], h=r[6],
-                      yaw=r[7], confidence=r[0]) for r in np.asarray(rows)]
+                      yaw=r[7], confidence=r[0])
+            for r in np.asarray(rows).tolist()]
 
 
 # ---- rotated IoU ----
+
+
+def _corners(box) -> np.ndarray:
+    """``rect_corners`` of a box, memoised on the box under its geometry.
+
+    The memo lives in the box's instance ``__dict__`` and is keyed by
+    (x, y, w, l, yaw), so a moved or resized box gets new corners. A box
+    without an instance dict (a namedtuple, a slotted class) is computed
+    afresh on every call.
+    """
+    key = (box.x, box.y, box.w, box.l, box.yaw)
+    try:
+        memo = box.__dict__
+    except AttributeError:
+        return rect_corners(*key)
+    hit = memo.get("_corners")
+    if hit is None or hit[0] != key:
+        hit = memo["_corners"] = (key, rect_corners(*key))
+    return hit[1]
 
 
 def rotated_iou_bev(a, b) -> float:
     """IoU of two yaw-rotated rectangles in the ground plane.
 
     Accepts anything with x, y, w, l, yaw fields (detections or GT boxes).
+    Each box's corners are computed once and kept on it (``_corners``).
     """
     if min(a.w, a.l, b.w, b.l) <= 0.0:
         raise ValueError("boxes need positive sizes")
-    ca = rect_corners(a.x, a.y, a.w, a.l, a.yaw)
-    cb = rect_corners(b.x, b.y, b.w, b.l, b.yaw)
-    inter = polygon_area(clip_convex(ca, cb))
+    inter = polygon_area(clip_convex(_corners(a), _corners(b)))
     union = a.w * a.l + b.w * b.l - inter
     return inter / union if union > 0.0 else 0.0
 
@@ -199,13 +221,14 @@ class EvalReport:
 
 def _scene_record(scene_seed: int, dets: list[Detection], n_gt: int,
                   n_bytes: int) -> dict:
+    """One report line; detection values rounded by Python's ``round()``."""
     return {
         "record": "scene",
         "scene": scene_seed,
         "n_detections": len(dets),
         "n_gt": n_gt,
         "bytes": n_bytes,
-        "detections": [[round(v, 9) for v in
+        "detections": [[round(float(v), 9) for v in
                         (d.confidence, d.x, d.y, d.z, d.w, d.l, d.h, d.yaw)]
                        for d in dets],
     }

@@ -161,7 +161,8 @@ class Sightings:
 
     Triples are sorted by height, then view in (agent, view) order, then
     cell. They depend only on the views and the lattice, so a cascade finds
-    them once for all of its blocks.
+    them, and each triple's weight in its cell's mean (``coef``), once for
+    all of its blocks.
     """
     maps: Tensor | None       # [V, C, fh, fw] the views that observe anything
     uv: np.ndarray            # [M, 2] feature coords of each triple
@@ -171,6 +172,7 @@ class Sightings:
     v_inv: np.ndarray         # [n_ref, H*W] 1 / observing views, 0 if none
     h_inv: np.ndarray         # [H*W] 1 / observed heights, 0 if none
     v_sum: csr_matrix         # [n_ref*H*W, M] ones: row (height, cell) sums its views
+    coef: np.ndarray          # [M] v_inv[height, cell] * h_inv[cell]
 
 
 def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
@@ -205,11 +207,11 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
     v_sum = csr_matrix((np.ones(rows.size), np.argsort(rows, kind="stable"),
                         np.concatenate([[0], np.cumsum(v_cnt.ravel())])),
                        shape=(v_cnt.size, rows.size))
+    v_inv = np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0)
+    h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
     return Sightings(maps=maps, uv=uv[height, view, cell], height=height,
-                     view=view, cell=cell,
-                     v_inv=np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0),
-                     h_inv=np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0),
-                     v_sum=v_sum)
+                     view=view, cell=cell, v_inv=v_inv, h_inv=h_inv,
+                     v_sum=v_sum, coef=v_inv[height, cell] * h_inv[cell])
 
 
 def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
@@ -217,8 +219,8 @@ def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
 
     Views add up in sorted order per height, from 0.0, then heights in
     order, so the mean is bit-stable under view permutations; the VJP
-    scales each triple's gradient by 1 / (views at its height x heights of
-    its cell).
+    scales each triple's gradient by ``s.coef``, 1 / (views at its height x
+    heights of its cell).
     """
     n_ref, hw = s.v_inv.shape
     # scipy sums each row's columns in order, from 0.0, times 1.0: exact
@@ -227,9 +229,8 @@ def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
     h_sum = part[0]
     for h in range(1, n_ref):
         h_sum = h_sum + part[h]
-    coef = (s.v_inv[s.height, s.cell] * s.h_inv[s.cell])[:, None]
     return Tensor._make(h_sum * s.h_inv[:, None], (f,),
-                        lambda g: (g[s.cell] * coef,))
+                        lambda g: (g[s.cell] * s.coef[:, None],))
 
 
 def ifa_block_forward(block: IfaBlock, q: Tensor, views: list[BevView],

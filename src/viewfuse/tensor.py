@@ -15,7 +15,10 @@ Three hot composites are single nodes with hand-written VJPs, so a graph
 keeps one output per call instead of every intermediate: ``linear`` (one
 MLP layer: matmul, bias and optional ReLU), ``layer_norm`` (closed-form
 backward) and ``bilinear_sample``, whose per-point weights
-make it the whole weighted sum of deformable attention. Its backward is
+make it the whole weighted sum of deformable attention. Its forward is two
+sparse products: an interpolation matrix (four corner weights per point)
+times the flattened map gives the samples, and a matrix of the rows' K
+weights times the samples gives the weighted row sums. Its backward is
 closed-form too: one sparse product for the map gradient, and one dot
 product per (point, corner) of map value and output gradient for the point
 and weight gradients. Their forwards multiply and add in the same order as
@@ -439,16 +442,22 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     ``weights`` ([M, K] with M * K == N) groups the points into M rows of K
     consecutive points; output row m is sum_k weights[m, k] * sample[m*K + k],
     [M, C]. Without weights every point is its own row with weight 1, [N, C].
-    This is one autodiff node. The forward is one sparse interpolation
-    matrix times the flattened map: each sample sums its corners in the
-    fixed order 00, 10, 01, 11 (u offset, then v offset), then each row sums
-    its K weighted samples. The map VJP is one [M, V*H*W] sparse matrix of
-    corner weight x row weight, transposed, times the output gradient. The
-    point and weight VJPs need only the dot product of each corner's map
-    value with its row's output gradient, gathered SAMPLE_CHUNK_ROWS rows at
-    a time: the corner weights turn these into the weight gradient, their
-    u and v differences into the point gradient. At an integer u or v that
-    is the derivative from above, the side whose corners the sample reads.
+    This is one autodiff node. The forward is two sparse products. The
+    first, an [N, V*H*W] interpolation matrix times the flattened map, sums
+    each sample's corners in the fixed order 00, 10, 01, 11 (u offset, then
+    v offset). The second, an [M, N] matrix holding each row's K weights,
+    sums each row's weighted samples in order; an unweighted call skips it.
+    Both sums start from +0.0, so a row whose every product is -0.0 is
+    +0.0, as numpy 2.4's multiply-then-sum is too; a sum that starts from
+    the first product would keep -0.0. Such a row needs zero or negative
+    weights, which softmax weights never are. The map VJP is one
+    [M, V*H*W] sparse matrix of corner weight x row weight, transposed,
+    times the output gradient. The point and weight VJPs need only the dot
+    product of each corner's map value with its row's output gradient,
+    gathered SAMPLE_CHUNK_ROWS rows at a time: the corner weights turn these
+    into the weight gradient, their u and v differences into the point
+    gradient. At an integer u or v that is the derivative from above, the
+    side whose corners the sample reads.
     """
     fmap = as_tensor(fmap)
     if fmap.ndim not in (3, 4) or (fmap.ndim == 4) != (view is not None):
@@ -477,20 +486,26 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     # is the lower / upper lattice line of each axis inside the map
     u_in = ((u0 >= 0) & (u0 < w), (u0 >= -1) & (u0 < w - 1))
     v_in = ((v0 >= 0) & (v0 < h), (v0 >= -1) & (v0 < h - 1))
-    ok = np.stack([u_in[0] & v_in[0], u_in[1] & v_in[0],
-                   u_in[0] & v_in[1], u_in[1] & v_in[1]], axis=1)
-    base = (view * h + v0) * w + u0
-    cols = np.where(ok, base[:, None] + np.array([0, 1, w, w + 1]), 0).ravel()
     # the masks zero a corner off the lattice and leave a valid one's bits
     wu = ((1 - fu) * u_in[0], fu * u_in[1])
     wv = ((1 - fv) * v_in[0], fv * v_in[1])
-    corner = np.stack([wu[0] * wv[0], wu[1] * wv[0],
-                       wu[0] * wv[1], wu[1] * wv[1]], axis=1)      # [N, 4]
+    ok = np.empty((n, 4), dtype=bool)
+    corner = np.empty((n, 4))
+    for j, (iu, iv) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        np.logical_and(u_in[iu], v_in[iv], out=ok[:, j])
+        np.multiply(wu[iu], wv[iv], out=corner[:, j])
+    base = (view * h + v0) * w + u0
+    cols = base[:, None] + np.array([0, 1, w, w + 1])
+    cols *= ok
+    cols = cols.ravel()
     a = csr_matrix((corner.ravel(), cols, np.arange(0, 4 * n + 1, 4)),
                    shape=(n, flat.shape[0]))
-    samp = (a @ flat).reshape(m, k, c)
-    samp *= wts.data.reshape(m, k, 1)      # in place: no [M, K, C] temporary
-    out = samp.sum(axis=1)
+    out = a @ flat
+    if weights is not None:
+        # row m of ``rowsum`` holds its K weights at columns m*K .. m*K+K-1
+        rowsum = csr_matrix((wts.data.ravel(), np.arange(n), k * np.arange(m + 1)),
+                            shape=(m, n))
+        out = rowsum @ out
 
     def vjp(g):
         gmap = gp = gw = None

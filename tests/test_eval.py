@@ -1,4 +1,5 @@
 """Metrics, baselines and sweep harness."""
+import collections
 import dataclasses
 import json
 import math
@@ -8,24 +9,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import viewfuse.eval
 from viewfuse.eval import (
     IOU_THRESHOLDS,
     NMS_IOU,
     Detection,
+    _scene_record,
     average_precision,
     ablation_ladder,
     detection_to_frame,
+    evaluate_scene,
     iou_matrix,
     match_detections,
     near_pairs,
     nms_rotated,
     rotated_iou_bev,
+    rows_to_detections,
     run_fusion,
     run_late_fusion,
     run_no_collaboration,
     sweep,
 )
 from viewfuse.geometry import clip_convex, polygon_area, rect_corners
+from viewfuse.model import FLAGS_SOLO, ego_frame_targets
 from viewfuse.scene import GtBox, generate_scene
 
 import eval_reference as ref
@@ -193,6 +199,91 @@ def test_clip_area_and_iou_equal_the_numpy_scalar_reference():
             for p, q in ((a, b), (b, a)):
                 assert rotated_iou_bev(p, q).hex() == ref.rotated_iou(p, q).hex()
     assert n_clipped > len(polys) // 2
+
+
+def _pooled_detections(rig):
+    """Fresh detections and GT of the rig's scenes, pooled in one frame.
+
+    The untrained model puts every scene's boxes near the same anchors, so
+    the pool has many overlapping detections for NMS to suppress.
+    """
+    model, scenes = rig
+    dets, gts = [], []
+    for scene in scenes:
+        dets += evaluate_scene(model, scene, FLAGS_SOLO)[0]
+        gts += ego_frame_targets(scene, model.spec, model.cfg.vis_min)
+    return dets, gts
+
+
+def test_iou_matrix_and_nms_on_scene_detections_equal_the_reference(
+        rig, monkeypatch):
+    dets, gts = _pooled_detections(rig)
+    kept = nms_rotated(dets)
+    iou = iou_matrix(dets, gts, rotated_iou_bev)
+    assert [[v.hex() for v in row] for row in iou.tolist()] == [
+        [ref.rotated_iou(d, g).hex() for g in gts] for d in dets]
+    assert (iou > 0.0).sum() >= len(dets)
+    # the reference NMS on the reference IoU, which takes fresh corners
+    monkeypatch.setattr(ref, "rotated_iou_bev", ref.rotated_iou)
+    assert [id(d) for d in kept] == [id(d) for d in ref.nms_rotated(dets)]
+    assert len(kept) < len(dets) // 2
+
+
+def test_corners_once_per_box(rig, monkeypatch):
+    dets, gts = _pooled_detections(rig)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rect_corners(*args)
+
+    monkeypatch.setattr(viewfuse.eval, "rect_corners", counting)
+    nms_rotated(dets)
+    match_detections(dets, gts)
+    n_pairs = int(near_pairs(dets, dets).sum() + near_pairs(dets, gts).sum())
+    assert len(calls) <= len(dets) + len(gts) < n_pairs
+    # a second pass over the same boxes reuses every corner
+    first = len(calls)
+    nms_rotated(dets)
+    match_detections(dets, gts)
+    assert len(calls) == first
+
+
+def test_moved_box_gets_new_corners():
+    a, b = det(), gt(x=1.0, yaw=0.4)
+    first = rotated_iou_bev(a, b)
+    a.x = 0.5
+    b.yaw = -0.2
+    moved = rotated_iou_bev(a, b)
+    assert moved != first
+    assert moved.hex() == ref.rotated_iou(a, b).hex()
+    # boxes without an instance dict take fresh corners on every call
+    Box = collections.namedtuple("Box", "x y w l yaw")
+    assert rotated_iou_bev(Box(0.5, 0.0, 2.0, 4.0, 0.0), b).hex() == moved.hex()
+
+
+# ---- report rounding ----
+
+
+def test_rows_to_detections_gives_python_floats():
+    rows = np.random.default_rng(3).normal(size=(5, 8))
+    for d in rows_to_detections(rows):
+        assert all(type(v) is float for v in dataclasses.astuple(d))
+    assert rows_to_detections(np.zeros((0, 8))) == []
+
+
+def test_scene_record_rounds_near_ties_like_python():
+    """Values halfway between two 9-decimal numbers, where numpy's round
+    (scale, rint, unscale) and Python's correctly rounded one can differ."""
+    rng = np.random.default_rng(4)
+    rows = (10 * rng.integers(-10**10, 10**10, (64, 8)) + 5) / 1e10
+    want = [[round(float(v), 9) for v in row] for row in rows]
+    assert any(round(v, 9) != round(float(v), 9) for v in rows.ravel())
+    for dets in (rows_to_detections(rows),
+                 [Detection(*r[1:], confidence=r[0]) for r in rows]):
+        rec = _scene_record(0, dets, 0, 0)
+        assert rec["detections"] == want
+        assert json.dumps(rec["detections"]) == json.dumps(want)
 
 
 # ---- AP ----

@@ -176,9 +176,27 @@ def _sampling_inputs(rng, n_view, c, fh, fw, m, k):
 def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
     rng = np.random.default_rng(n_view or 0)
     maps, pts, view, wts = _sampling_inputs(rng, n_view, c, fh, fw, m, k)
+    # a sixteenth of the rows get zero weights and a sixteenth negative
+    # ones; half of each lie wholly off the lattice, where every sample is
+    # +0.0 and a negative weight makes every product -0.0
+    w = wts.data.copy()
+    zero, neg = np.array_split(rng.permutation(m)[:max(4, m // 8)], 2)
+    w[zero] = 0.0
+    w[neg] = -rng.uniform(0.1, 1.0, (neg.size, k))
+    off = np.concatenate([zero[::2], neg[::2]])
+    p = pts.data.reshape(m, k, 2)
+    p[off] = [-3.5, fh + 2.5]
+    wts = Tensor(w, requires_grad=True)
     fused = bilinear_sample(maps, pts, view, wts)
+    prods = bilinear_sample(maps, pts, view).data.reshape(m, k, c) * w[..., None]
+    assert not prods[off].any() and np.signbit(prods[neg[::2]]).all()
+    # the op sums each row from +0.0, so a row of -0.0 products is +0.0
+    assert not np.signbit(fused.data[off]).any()
+    assert not fused.data[off].any()
+    # adding +0.0 maps a composite sum of -0.0, where numpy's sum starts
+    # from the first product, to +0.0 and leaves every other value's bits
     composite = composite_weighted_sample(maps, pts, view, wts)
-    assert fused.data.tobytes() == composite.data.tobytes()
+    assert fused.data.tobytes() == (composite.data + 0.0).tobytes()
     g = rng.normal(size=fused.shape)
     leaves = [maps, pts, wts]
     for a, b in zip(_grads_after(fused, g, leaves),
@@ -187,7 +205,7 @@ def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
     # the four-gather reference shares no code with the op
     ref = (reference_bilinear_sample(maps, pts, view).reshape(m, k, c)
            * wts.reshape(m, k, 1)).sum(axis=1)
-    assert fused.data.tobytes() == ref.data.tobytes()
+    assert fused.data.tobytes() == (ref.data + 0.0).tobytes()
     for a, b in zip(_grads_after(fused, g, leaves),
                     _grads_after(ref, g, leaves)):
         _assert_close_rel(a, b)
