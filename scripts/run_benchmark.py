@@ -14,7 +14,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from viewfuse.cli import main as vf
 
 LABELS = ("no_collab", "late", "fused")
-BASELINES = {"no_collab": "none", "late": "late", "fused": "fused"}
 
 
 def read_summary(path):
@@ -46,7 +45,7 @@ def main():
             return rc
         for label in LABELS:
             rc = vf(["eval"] + base + ["--seed", str(seed), "--out", out,
-                                       "--baseline", BASELINES[label]])
+                                       "--pipeline", label])
             if rc != 0:
                 return rc
             rows[label].append(

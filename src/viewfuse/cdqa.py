@@ -55,7 +55,7 @@ def cone_descriptor(inst: Instance2D, cam: CameraModel,
                          f"({inst.u_min}, {inst.v_min})-({inst.u_max}, {inst.v_max})")
     corners = []
     for u, v in ((inst.u_min, inst.v_min), (inst.u_max, inst.v_max)):
-        opt = unproject_feature_to_optical(cam, u, v, depth=1.0)
+        opt = unproject_feature_to_optical(cam, u, v)
         corners.append(apply_pose(cam_pose_in_ego, optical_to_local(opt)))
     origin = np.array([cam_pose_in_ego.x, cam_pose_in_ego.y,
                        cam_pose_in_ego.z])
@@ -80,7 +80,7 @@ def ground_anchor(inst: Instance2D, cam: CameraModel,
     sees the box above its own horizon) have no usable intersection.
     """
     u_mid = 0.5 * (inst.u_min + inst.u_max)
-    opt = unproject_feature_to_optical(cam, u_mid, inst.v_max, depth=1.0)
+    opt = unproject_feature_to_optical(cam, u_mid, inst.v_max)
     p = apply_pose(cam_pose_in_ego, optical_to_local(opt))
     c = np.array([cam_pose_in_ego.x, cam_pose_in_ego.y, cam_pose_in_ego.z])
     d = p - c

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import re
+import struct
 import sys
 import time
 from dataclasses import replace
@@ -30,8 +31,8 @@ import numpy as np
 from . import comms
 from .config import (ConfigError, ExperimentConfig, config_to_dict,
                      fingerprint, load_config, save_config)
-from .eval import (EvalReport, LADDER, ablation_ladder, run_fusion,
-                   run_late_fusion, run_no_collaboration, sweep)
+from .eval import (EvalReport, LADDER, PIPELINES, ablation_ladder,
+                   evaluate_scenes, sweep)
 from .model import (FLAGS_FULL, CheckpointError, FingerprintError,
                     PipelineFlags, PipelineModel, TrainingError, init_model,
                     load_checkpoint, train)
@@ -44,8 +45,6 @@ EXIT_CONFIG = 2
 EXIT_NONFINITE = 3
 EXIT_FINGERPRINT = 4
 EXIT_MISSING_CHECKPOINT = 5
-
-FLAG_NAMES = ("ifa", "cdqa", "mask", "late_fuse")
 
 
 def _sidecar_logger(path: Path):
@@ -68,21 +67,6 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, model=replace(cfg.model, c_thre=args.c_thre))
     cfg.validate()
     return cfg
-
-
-def _parse_flags(spec: str) -> PipelineFlags:
-    names = [s.strip() for s in spec.split(",") if s.strip()]
-    for n in names:
-        if n not in FLAG_NAMES:
-            raise ConfigError(
-                f'unknown flag "{n}" in --flags; pick from {",".join(FLAG_NAMES)}')
-    chosen = set(names)
-    try:
-        return PipelineFlags(ifa="ifa" in chosen, cdqa="cdqa" in chosen,
-                             mask="mask" in chosen,
-                             late_fuse="late_fuse" in chosen)
-    except ValueError as e:
-        raise ConfigError(f"--flags: {e}") from None
 
 
 def _parse_values(spec: str, integer: bool = False) -> list:
@@ -194,25 +178,21 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.npz"
     model = _load_model(cfg, ckpt)
-    flags = _parse_flags(args.flags) if args.flags else FLAGS_FULL
+    flags = PIPELINES[args.pipeline]
     scenes = _scenes(cfg, cfg.eval)
     kw = _eval_kwargs(cfg, noise_override=args.noise, c_thre=args.eval_c_thre)
     if args.sweep:
         return _run_sweep(args.sweep[0], args.sweep[1], model, scenes, flags,
                           cfg, out, kw)
-    if args.baseline == "none":
-        reports = [run_no_collaboration(model, scenes, **kw)]
-    elif args.baseline == "late":
-        reports = [run_late_fusion(model, scenes, **kw)]
-    else:
-        reports = [run_fusion(model, scenes, flags, **kw)]
+    reports = [evaluate_scenes(model, scenes, flags, label=args.pipeline,
+                               **kw)]
     _save_reports(reports, out)
     print(format_table(reports))
     return EXIT_OK
 
 
 CLI_SWEEP_AXES = {"noise": "noise_sigma", "c_thre": "c_thre",
-                  "agents": "n_agents", "n_agents": "n_agents"}
+                  "agents": "n_agents"}
 
 
 def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
@@ -220,7 +200,7 @@ def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
     if axis_name not in CLI_SWEEP_AXES:
         raise ConfigError(
             f'unknown sweep axis "{axis_name}"; '
-            f'pick from {",".join(sorted(set(CLI_SWEEP_AXES)))}')
+            f'pick from {",".join(sorted(CLI_SWEEP_AXES))}')
     axis = CLI_SWEEP_AXES[axis_name]
     values = _parse_values(value_spec, integer=axis == "n_agents")
     n_agents = cfg.scene.n_agents
@@ -248,7 +228,8 @@ def cmd_ablate(args) -> int:
     log = _sidecar_logger(out / "run.log")
     models = {}
     train_scenes = None     # generated once, and only if some row trains
-    for name, flags in LADDER:
+    for name in LADDER:
+        flags = PIPELINES[name]
         # late_fuse only changes evaluation, so the late row trains solo
         suffix = f"_{_safe_name(name)}"
         path = out / f"checkpoint{suffix}.npz"
@@ -283,9 +264,16 @@ def cmd_gen_scenes(args) -> int:
     return EXIT_OK
 
 
-def _hexdump_rows(buf: bytes, layout: list[tuple[int, int, str, str]]) -> str:
+def _hexdump_rows(buf: bytes, fields, tail=()) -> str:
+    """One row per wire field of ``comms``' layout, then the ``tail`` rows."""
+    rows = []
+    for off, size, name, code in comms.field_spans(fields):
+        v, = struct.unpack_from("<" + code, buf, off)
+        shown = (v.decode("ascii") if isinstance(v, bytes)
+                 else f"{v:g}" if isinstance(v, float) else str(v))
+        rows.append((off, size, name, shown))
     lines = [f"{'offset':<8}{'size':<6}{'field':<14}{'raw':<24}value"]
-    for off, size, name, value in layout:
+    for off, size, name, value in [*rows, *tail]:
         raw = buf[off:off + size]
         shown = raw[:8].hex(" ") + (" .." if size > 8 else "")
         lines.append(f"0x{off:04x}  {size:<6}{name:<14}{shown:<24}{value}")
@@ -299,41 +287,16 @@ def cmd_inspect_message(args) -> int:
         return EXIT_CONFIG
     magic = buf[:4]
     if magic == comms.INSTANCE_MAGIC:
-        m = comms.decode_message(buf)
-        pay = m.payload
-        layout = [
-            (0, 4, "magic", magic.decode("ascii")),
-            (4, 1, "version", str(buf[4])),
-            (5, 2, "agent_id", str(m.agent_id)),
-            (7, 2, "view_id", str(m.view_id)),
-            (9, 2, "index", str(m.index)),
-            (11, 4, "confidence", f"{m.confidence:g}"),
-            (15, 4, "u_min", f"{m.box[0]:g}"),
-            (19, 4, "v_min", f"{m.box[1]:g}"),
-            (23, 4, "u_max", f"{m.box[2]:g}"),
-            (27, 4, "v_max", f"{m.box[3]:g}"),
-            (31, 2, "feat_c", str(pay.shape[0])),
-            (33, 2, "crop_h", str(pay.shape[1])),
-            (35, 2, "crop_w", str(pay.shape[2])),
-            (37, 4 * pay.size, "payload",
-             f"{pay.size} f32 in [{pay.min():g}, {pay.max():g}]"),
-        ]
+        pay = comms.decode_message(buf).payload
+        payload = (comms.INSTANCE_HEADER_BYTES, 4 * pay.size, "payload",
+                   f"{pay.size} f32 in [{pay.min():g}, {pay.max():g}]")
         print(f"instance message, {len(buf)} bytes")
-        print(_hexdump_rows(buf, layout))
+        print(_hexdump_rows(buf, comms.INSTANCE_FIELDS, [payload]))
         return EXIT_OK
     if magic == comms.DETECTION_MAGIC:
-        m = comms.decode_detection(buf)
-        names = ("x", "y", "z", "w", "l", "h", "yaw")
-        layout = [
-            (0, 4, "magic", magic.decode("ascii")),
-            (4, 1, "version", str(buf[4])),
-            (5, 2, "agent_id", str(m.agent_id)),
-            (7, 2, "index", str(m.index)),
-        ]
-        layout += [(9 + 4 * i, 4, names[i], f"{m.box[i]:g}") for i in range(7)]
-        layout.append((37, 4, "confidence", f"{m.confidence:g}"))
+        comms.decode_detection(buf)     # validates before the dump
         print(f"detection message, {len(buf)} bytes")
-        print(_hexdump_rows(buf, layout))
+        print(_hexdump_rows(buf, comms.DETECTION_FIELDS))
         return EXIT_OK
     print(f"{args.path}: unknown magic {magic!r} "
           f"(expected {comms.INSTANCE_MAGIC!r} or {comms.DETECTION_MAGIC!r})",
@@ -374,13 +337,8 @@ def _add_config_args(p, overrides=True, train=True):
 
 def _add_eval_args(p):
     p.add_argument("--checkpoint", help="checkpoint path; default {out_dir}/checkpoint.npz")
-    p.add_argument("--baseline", choices=("none", "late", "fused"),
-                   default="fused",
-                   help="none = ego only, late = detection exchange, "
-                        "fused = feature-level collaboration")
-    p.add_argument("--flags",
-                   help="comma list from ifa,cdqa,mask,late_fuse "
-                        "(fused baseline only)")
+    p.add_argument("--pipeline", choices=tuple(PIPELINES), default="fused",
+                   help="named pipeline to run; the name is the report label")
     p.add_argument("--noise", type=float, default=None,
                    help="collaborator pose noise std, m (overrides eval.noise_sigma)")
 

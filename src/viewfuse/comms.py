@@ -20,20 +20,45 @@ INSTANCE_MAGIC = b"VFMS"
 DETECTION_MAGIC = b"VFDT"
 WIRE_VERSION = 1
 
-# magic | version | j,k,n | confidence | box | fC,h,w
-_INSTANCE_HEADER = struct.Struct("<4sB3Hf4f3H")
-# magic | version | j,n | x,y,z,w,l,h,yaw,confidence
-_DETECTION_WIRE = struct.Struct("<4sB2H8f")
+# Wire layouts: (field, little-endian struct code) in wire order. The codec's
+# Structs, the ledger split and ``inspect-message`` are all built from these.
+INSTANCE_FIELDS = (
+    ("magic", "4s"), ("version", "B"), ("agent_id", "H"), ("view_id", "H"),
+    ("index", "H"), ("confidence", "f"), ("u_min", "f"), ("v_min", "f"),
+    ("u_max", "f"), ("v_max", "f"), ("feat_c", "H"), ("crop_h", "H"),
+    ("crop_w", "H"))
+DETECTION_FIELDS = (
+    ("magic", "4s"), ("version", "B"), ("agent_id", "H"), ("index", "H"),
+    ("x", "f"), ("y", "f"), ("z", "f"), ("w", "f"), ("l", "f"), ("h", "f"),
+    ("yaw", "f"), ("confidence", "f"))
+
+
+def field_spans(fields) -> list[tuple[int, int, str, str]]:
+    """(offset, size, name, struct code) of each field, in wire order."""
+    spans, off = [], 0
+    for name, code in fields:
+        size = struct.calcsize("<" + code)
+        spans.append((off, size, name, code))
+        off += size
+    return spans
+
+
+def _ledger_split(fields) -> tuple[int, int]:
+    """(header, box) bytes: the float fields, confidence and box, are "box";
+    the identity and shape words are "header"."""
+    spans = field_spans(fields)
+    box = sum(size for _, size, _, code in spans if code == "f")
+    return sum(size for _, size, _, _ in spans) - box, box
+
+
+_INSTANCE_HEADER = struct.Struct("<" + "".join(c for _, c in INSTANCE_FIELDS))
+_DETECTION_WIRE = struct.Struct("<" + "".join(c for _, c in DETECTION_FIELDS))
 
 INSTANCE_HEADER_BYTES = _INSTANCE_HEADER.size     # 37
 DETECTION_MESSAGE_BYTES = _DETECTION_WIRE.size    # 41
 
-# ledger split of the instance header: identity and shape words are "header",
-# the confidence + box floats are "box"
-_HDR_SPLIT_HEADER = 4 + 1 + 3 * 2 + 3 * 2   # 17
-_HDR_SPLIT_BOX = 4 + 4 * 4                  # 20
-_DET_SPLIT_HEADER = 4 + 1 + 2 * 2           # 9
-_DET_SPLIT_BOX = 8 * 4
+_HDR_SPLIT_HEADER, _HDR_SPLIT_BOX = _ledger_split(INSTANCE_FIELDS)   # 17, 20
+_DET_SPLIT_HEADER, _DET_SPLIT_BOX = _ledger_split(DETECTION_FIELDS)  # 9, 32
 
 
 class DecodeError(ValueError):

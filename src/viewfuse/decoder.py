@@ -30,15 +30,20 @@ from .tensor import (
 )
 
 
+Z_SCALE = 2.0          # m; the codec's height normalization
+# focal loss of the matching cost and of the class term
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
+
+
 @dataclass(frozen=True)
 class BoxCodec:
     """Maps metric boxes to the normalized 8-vector the head regresses.
 
-    Layout: (x/xs, y/ys, z/zs, log w, log l, log h, sin yaw, cos yaw).
+    Layout: (x/xs, y/ys, z/Z_SCALE, log w, log l, log h, sin yaw, cos yaw).
     """
     x_scale: float
     y_scale: float
-    z_scale: float = 2.0
 
     @staticmethod
     def from_grid(spec: BevGridSpec) -> "BoxCodec":
@@ -47,7 +52,7 @@ class BoxCodec:
 
     def encode(self, box: GtBox) -> np.ndarray:
         return np.array([box.x / self.x_scale, box.y / self.y_scale,
-                         box.z / self.z_scale,
+                         box.z / Z_SCALE,
                          math.log(box.w), math.log(box.l), math.log(box.h),
                          math.sin(box.yaw), math.cos(box.yaw)])
 
@@ -57,7 +62,7 @@ class BoxCodec:
         out[:, 0] = probs
         out[:, 1] = vec[:, 0] * self.x_scale
         out[:, 2] = vec[:, 1] * self.y_scale
-        out[:, 3] = vec[:, 2] * self.z_scale
+        out[:, 3] = vec[:, 2] * Z_SCALE
         out[:, 4:7] = np.exp(np.clip(vec[:, 3:6], -8.0, 8.0))
         out[:, 7] = np.arctan2(vec[:, 6], vec[:, 7])
         return out
@@ -67,8 +72,6 @@ class BoxCodec:
 class LossWeights:
     w_cls: float = 1.0
     w_box: float = 2.5
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
 
 
 @dataclass
@@ -124,7 +127,7 @@ def match_predictions(pred: Predictions, gts: list[GtBox], codec: BoxCodec,
                          f"to {n_q} queries")
     logits = pred.cls_logits.data[:, 0]
     p = 1.0 / (1.0 + np.exp(-logits))
-    a, g = weights.focal_alpha, weights.focal_gamma
+    a, g = FOCAL_ALPHA, FOCAL_GAMMA
     eps = 1e-12
     pos = a * (1.0 - p) ** g * -np.log(p + eps)
     neg = (1.0 - a) * p ** g * -np.log(1.0 - p + eps)
@@ -151,14 +154,13 @@ def set_loss(pred: Predictions, gts: list[GtBox], codec: BoxCodec,
         g_idx = [g for _, g in match.pairs]
         for q, b in zip(q_idx, g_idx):
             targets[q] = gts[b].cls
-        cls_term = focal_loss(pred.cls_logits, targets,
-                              alpha=weights.focal_alpha,
-                              gamma=weights.focal_gamma)
+        cls_term = focal_loss(pred.cls_logits, targets, alpha=FOCAL_ALPHA,
+                              gamma=FOCAL_GAMMA)
         enc = np.stack([codec.encode(gts[b]) for b in g_idx], axis=0)
         reg_term = l1_loss(take_rows(pred.box_vec, q_idx), Tensor(enc))
         return cls_term + weights.w_box * reg_term
-    return focal_loss(pred.cls_logits, targets, alpha=weights.focal_alpha,
-                      gamma=weights.focal_gamma)
+    return focal_loss(pred.cls_logits, targets, alpha=FOCAL_ALPHA,
+                      gamma=FOCAL_GAMMA)
 
 
 class DecoderLayer:
@@ -208,11 +210,10 @@ _BOX_BIAS = np.array([0.0, 0.0, 0.4, 0.64, 1.46, 0.47, 0.0, 1.0])
 
 
 class DetrDecoder:
-    def __init__(self, c: int, n_layers: int = 3, n_da: int = 4,
-                 rng: np.random.Generator | None = None, name: str = "dec"):
+    def __init__(self, c: int, rng: np.random.Generator, n_layers: int = 3,
+                 n_da: int = 4, name: str = "dec"):
         if n_layers < 1:
             raise ValueError("decoder needs at least one layer")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.c = c
         self.name = name
         self.layers = [DecoderLayer(c, n_da, rng, name=f"{name}{i}")

@@ -1,9 +1,9 @@
 """Evaluation harness.
 
-Rotated-IoU average precision, the no-collaboration and late-fusion
-baselines, flagged pipeline runs, the ablation ladder, and the sweep
-driver (localization noise, agent count, share threshold). Reports are
-line-oriented JSON: one record per scene plus an aggregate summary.
+Rotated-IoU average precision, the named pipelines (two baselines and the
+component ladder), the ablation ladder, and the sweep driver (localization
+noise, agent count, share threshold). Reports are line-oriented JSON: one
+record per scene plus an aggregate summary.
 """
 from __future__ import annotations
 
@@ -330,11 +330,6 @@ def evaluate_scenes(model: PipelineModel, scenes: list[Scene],
                       per_scene=per_scene)
 
 
-def run_no_collaboration(model, scenes, **kw) -> EvalReport:
-    kw.setdefault("label", "no_collab")
-    return evaluate_scenes(model, scenes, FLAGS_SOLO, **kw)
-
-
 def run_late_fusion(model, scenes, **kw) -> EvalReport:
     kw.setdefault("label", "late")
     return evaluate_scenes(model, scenes, FLAGS_LATE, **kw)
@@ -346,26 +341,35 @@ def run_fusion(model, scenes, flags: PipelineFlags = FLAGS_FULL,
     return evaluate_scenes(model, scenes, flags, **kw)
 
 
-# ---- ablation ladder ----
+# ---- named pipelines and the ablation ladder ----
 
 
-LADDER = (
-    ("late", FLAGS_LATE),
-    ("ifa", PipelineFlags(ifa=True, cdqa=False, mask=False)),
-    ("ifa+cdqa", PipelineFlags(ifa=True, cdqa=True, mask=False)),
-    ("ifa+cdqa+mask", FLAGS_FULL),
-)
+# report label -> flags: the two baselines, then the component ladder.
+# FLAGS_FULL has two names: eval reports call it "fused" and the ladder row
+# "ifa+cdqa+mask", so report_fused.jsonl, the ablation.csv rows and
+# checkpoint_ifa+cdqa+mask.npz keep their names.
+PIPELINES = {
+    "no_collab": FLAGS_SOLO,
+    "late": FLAGS_LATE,
+    "ifa": PipelineFlags(ifa=True, cdqa=False, mask=False),
+    "ifa+cdqa": PipelineFlags(ifa=True, cdqa=True, mask=False),
+    "ifa+cdqa+mask": FLAGS_FULL,
+    "fused": FLAGS_FULL,
+}
+
+LADDER = ("late", "ifa", "ifa+cdqa", "ifa+cdqa+mask")
 
 
 def ablation_ladder(models: dict[str, PipelineModel], scenes: list[Scene],
                     **kw) -> list[EvalReport]:
     """The four-row component ladder; one trained model per row."""
-    missing = [name for name, _ in LADDER if name not in models]
+    missing = [name for name in LADDER if name not in models]
     if missing:
         raise ValueError(f"no model for ladder rows {missing}")
     kw.pop("label", None)
-    return [evaluate_scenes(models[name], scenes, flags, label=name, **kw)
-            for name, flags in LADDER]
+    return [evaluate_scenes(models[name], scenes, PIPELINES[name], label=name,
+                            **kw)
+            for name in LADDER]
 
 
 # ---- sweeps ----

@@ -131,12 +131,11 @@ def camera_in_frame(cam: CameraModel, agent_pose: Pose) -> Pose:
     return compose(agent_pose, cam.pose)
 
 
-def project_points(pts: np.ndarray, cam: CameraModel, agent_pose: Pose,
-                   near_eps: float = NEAR_EPS):
+def project_points(pts: np.ndarray, cam: CameraModel, agent_pose: Pose):
     """Project [N, 3] points (in agent_pose's parent frame) into feature coords.
 
     Returns (uv [N, 2], depth [N], valid [N]). A point is valid when its depth
-    along the optical axis exceeds ``near_eps`` and (u, v) lies inside
+    along the optical axis exceeds ``NEAR_EPS`` and (u, v) lies inside
     [0, feat_w) x [0, feat_h). Coordinates for invalid points are still
     returned (clamped-denominator mirror values) for diagnostics.
     """
@@ -150,19 +149,19 @@ def project_points(pts: np.ndarray, cam: CameraModel, agent_pose: Pose,
     u = (cam.cx + cam.fx * right / safe) / cam.stride
     v = (cam.cy + cam.fy * down / safe) / cam.stride
     uv = np.stack([u, v], axis=-1)
-    valid = (fwd > near_eps) & (u >= 0.0) & (u < cam.feat_w) & (v >= 0.0) & (v < cam.feat_h)
+    valid = (fwd > NEAR_EPS) & (u >= 0.0) & (u < cam.feat_w) & (v >= 0.0) & (v < cam.feat_h)
     return uv, fwd, valid
 
 
-def unproject_feature_to_optical(cam: CameraModel, u: float, v: float,
-                                 depth: float = 1.0) -> np.ndarray:
-    """Lift feature coords to the optical-frame plane at ``depth``.
+def unproject_feature_to_optical(cam: CameraModel, u: float,
+                                 v: float) -> np.ndarray:
+    """Lift feature coords to the optical-frame plane at unit depth.
 
-    Returns (right, down, forward); the inverse of the projection above.
+    Returns (right, down, 1.0); the inverse of the projection above.
     """
-    right = (u * cam.stride - cam.cx) / cam.fx * depth
-    down = (v * cam.stride - cam.cy) / cam.fy * depth
-    return np.array([right, down, depth])
+    right = (u * cam.stride - cam.cx) / cam.fx
+    down = (v * cam.stride - cam.cy) / cam.fy
+    return np.array([right, down, 1.0])
 
 
 def optical_to_local(opt: np.ndarray) -> np.ndarray:

@@ -91,13 +91,13 @@ class BevView:
     mask: np.ndarray | None = None
 
 
-def _ring_bias(n_da: int, radius: float = 1.0) -> np.ndarray:
-    """Initial offsets fan out in a ring; weight logits start uniform."""
+def _ring_bias(n_da: int) -> np.ndarray:
+    """Initial offsets fan out in a unit ring; weight logits start uniform."""
     bias = np.zeros(3 * n_da)
     for i in range(n_da):
         ang = 2.0 * math.pi * i / n_da
-        bias[2 * i] = radius * math.cos(ang)
-        bias[2 * i + 1] = radius * math.sin(ang)
+        bias[2 * i] = math.cos(ang)
+        bias[2 * i + 1] = math.sin(ang)
     return bias
 
 

@@ -452,8 +452,12 @@ def _bearing_span(origin: tuple[float, float], corners, ref: float):
     return min(rel), max(rel)
 
 
-def _blocks(origin: tuple[float, float], blocker: _Placed, target: _Placed,
-            min_overlap: float = 0.45) -> bool:
+# share of the target's bearing span a blocker must cover to shadow it
+BLOCK_MIN_OVERLAP = 0.45
+
+
+def _blocks(origin: tuple[float, float], blocker: _Placed,
+            target: _Placed) -> bool:
     """Approximate: does ``blocker`` shadow ``target`` seen from ``origin``?"""
     b, t = blocker.box, target.box
     dt = math.hypot(t.x - origin[0], t.y - origin[1])
@@ -470,7 +474,7 @@ def _blocks(origin: tuple[float, float], blocker: _Placed, target: _Placed,
     b_lo, b_hi = _bearing_span(origin, blocker.pts, ref)
     inter = min(t_hi, b_hi) - max(t_lo, b_lo)
     width = t_hi - t_lo
-    return width > 0 and inter > min_overlap * width
+    return width > 0 and inter > BLOCK_MIN_OVERLAP * width
 
 
 def _covers_fully(origin: tuple[float, float], occluder: _Placed, target: _Placed,

@@ -635,20 +635,19 @@ class Mlp:
 class Adam:
     """Adam over a name -> Tensor dict; update order is sorted by name."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = float(lr)
-        self.b1, self.b2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - self.B1 ** self.t
+        c2 = 1.0 - self.B2 ** self.t
         for name in sorted(self.params):
             p = self.params[name]
             if p.grad is None:
@@ -656,11 +655,11 @@ class Adam:
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= self.B1
+            m += (1.0 - self.B1) * g
+            v *= self.B2
+            v += (1.0 - self.B2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -113,7 +113,7 @@ def _cdqa_cases(rng):
 
 
 def _set_loss_case(rng):
-    codec = BoxCodec(x_scale=8.0, y_scale=8.0, z_scale=2.0)
+    codec = BoxCodec(x_scale=8.0, y_scale=8.0)
     gt = GtBox(obj_id=0, cls=0, occluded=False,
                x=rng.uniform(-4, 4), y=rng.uniform(-4, 4), z=0.75,
                w=0.9, l=1.8, h=1.5, yaw=rng.uniform(-2.0, 2.0))
@@ -506,7 +506,7 @@ def test_cli_train_and_eval_are_byte_deterministic(tmp_path, capsys):
         cp.write_text(json.dumps(dd))
         assert cli_main(["train", "--config", str(cp)]) == 0
         assert cli_main(["eval", "--config", str(cp)]) == 0
-        assert cli_main(["eval", "--config", str(cp), "--baseline", "late"]) == 0
+        assert cli_main(["eval", "--config", str(cp), "--pipeline", "late"]) == 0
         outs.append(tmp_path / run)
     capsys.readouterr()
     for name in ("loss.csv", "report_fused.jsonl", "report_late.jsonl"):

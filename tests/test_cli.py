@@ -1,7 +1,9 @@
 """Command line contract: exit codes, file outputs, determinism."""
 
 import ast
+import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from viewfuse import cli, comms
 from viewfuse.cli import build_parser, main
 from viewfuse.config import (ConfigError, ExperimentConfig, config_from_dict,
                              config_to_dict, fingerprint, load_config)
+from viewfuse.eval import PIPELINES
 from viewfuse.model import FLAGS_FULL, FingerprintError, PipelineFlags, train
 from viewfuse.scene import scene_from_dict
 
@@ -181,7 +184,7 @@ def test_eval_twice_is_byte_identical(trained, capsys):
 
 def test_report_schema(trained, capsys):
     cp, run = trained
-    assert main(["eval", "--config", str(cp), "--baseline", "late"]) == 0
+    assert main(["eval", "--config", str(cp), "--pipeline", "late"]) == 0
     capsys.readouterr()
     lines = (run / "report_late.jsonl").read_text().splitlines()
     records = [json.loads(l) for l in lines]
@@ -208,24 +211,45 @@ def test_eval_exit_codes(trained, tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "nope.npz")]) == 2
 
 
-def test_eval_rejects_cdqa_without_ifa(trained, capsys):
-    cp, _ = trained
-    assert main(["eval", "--config", str(cp), "--flags", "cdqa"]) == 2
-    assert "ifa" in capsys.readouterr().err
+def test_eval_rejects_cdqa_without_ifa(capsys):
+    # no named pipeline adapts queries without shared instances, and the
+    # parser refuses any other name, listing the ones it knows
+    assert all(f.ifa or not f.cdqa for f in PIPELINES.values())
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args(["eval", "--pipeline", "cdqa"])
+    assert e.value.code == 2
+    assert "ifa+cdqa" in capsys.readouterr().err
+
+
+def _summary(path: Path) -> dict:
+    return json.loads(path.read_text().splitlines()[-1])
 
 
 def test_fullmap_flags_cost_more(trained, tmp_path, capsys):
-    # full-map pricing is the fused pipeline with the mask flag off
+    # full-map pricing is the fused model run by the pipeline without the mask
     cp, run = trained
     assert main(["eval", "--config", str(cp)]) == 0
-    masked = json.loads((run / "report_fused.jsonl").read_text().splitlines()[-1])
-    assert main(["eval", "--config", str(cp), "--flags", "ifa,cdqa",
+    masked = _summary(run / "report_fused.jsonl")
+    assert main(["eval", "--config", str(cp), "--pipeline", "ifa+cdqa",
                  "--checkpoint", str(run / "checkpoint.npz"),
                  "--out", str(tmp_path / "fm")]) == 0
     capsys.readouterr()
-    full = json.loads(
-        (tmp_path / "fm" / "report_fused.jsonl").read_text().splitlines()[-1])
+    full = _summary(tmp_path / "fm" / "report_ifa+cdqa.jsonl")
+    assert full["label"] == "ifa+cdqa"
     assert full["total_bytes"] > masked["total_bytes"]
+
+
+def test_pipeline_name_is_the_report_label(trained, tmp_path, capsys):
+    # another pipeline's report never lands in report_fused.jsonl
+    cp, run = trained
+    out = ["--config", str(cp), "--checkpoint", str(run / "checkpoint.npz"),
+           "--out", str(tmp_path)]
+    assert main(["eval", *out]) == 0
+    fused = (tmp_path / "report_fused.jsonl").read_bytes()
+    assert main(["eval", *out, "--pipeline", "ifa"]) == 0
+    capsys.readouterr()
+    assert _summary(tmp_path / "report_ifa.jsonl")["label"] == "ifa"
+    assert (tmp_path / "report_fused.jsonl").read_bytes() == fused
 
 
 def test_eval_c_thre_is_the_sweep_point(trained, tmp_path, capsys):
@@ -268,6 +292,22 @@ def test_sweep_value_list(trained, capsys):
     capsys.readouterr()
     rows = (run / "sweep_c_thre.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+def test_sweep_runs_the_chosen_pipeline(trained, tmp_path, capsys):
+    # a late sweep bills detection messages only, never feature crops
+    cp, run = trained
+    assert main(["eval", "--config", str(cp), "--pipeline", "late",
+                 "--checkpoint", str(run / "checkpoint.npz"),
+                 "--out", str(tmp_path), "--sweep", "noise", "0:0:2"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "sweep_noise_sigma.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+    for row in rows:
+        n_bytes = int(row["total_bytes"])
+        assert n_bytes > 0
+        assert n_bytes % comms.DETECTION_MESSAGE_BYTES == 0
 
 
 def test_sweep_bad_axis(trained, capsys):
@@ -428,8 +468,9 @@ def test_show_config_prints_fingerprint(tmp_path, capsys):
 # ---- scripts ----
 
 
-def _script_subcommands() -> dict[str, str]:
-    """Subcommand literal of every ``vf([...])`` call in scripts/*.py."""
+def _script_subcommands() -> dict[str, tuple[str, list[str]]]:
+    """Subcommand literal and "--" string constants of every ``vf([...])``
+    call in scripts/*.py."""
     found = {}
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     for path in sorted(scripts.glob("*.py")):
@@ -438,13 +479,16 @@ def _script_subcommands() -> dict[str, str]:
                     and isinstance(node.func, ast.Name) and node.func.id == "vf"):
                 continue
             arg = node.args[0]
+            options = [n.value for n in ast.walk(arg)
+                       if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str) and n.value.startswith("--")]
             while isinstance(arg, ast.BinOp):
                 arg = arg.left
             where = f"{path.name}:{node.lineno}"
             assert (isinstance(arg, ast.List) and arg.elts
                     and isinstance(arg.elts[0], ast.Constant)), \
                 f"{where}: vf() must start its argv with a literal subcommand"
-            found[where] = arg.elts[0].value
+            found[where] = (arg.elts[0].value, options)
     return found
 
 
@@ -453,7 +497,9 @@ def test_parser_rejects_options_that_change_no_output(capsys):
     for argv in (["gen-scenes", "s.jsonl", "--out", "x"],
                  ["gen-scenes", "s.jsonl", "--c-thre", "0.5"],
                  ["train", "--share-mode", "fullmap"],
-                 ["eval", "--steps", "5"]):
+                 ["eval", "--steps", "5"],
+                 ["eval", "--baseline", "late"],
+                 ["eval", "--flags", "ifa,cdqa"]):
         with pytest.raises(SystemExit) as e:
             parse(argv)
         assert e.value.code == 2, argv
@@ -465,8 +511,11 @@ def test_parser_rejects_options_that_change_no_output(capsys):
 def test_scripts_call_only_known_subcommands(capsys):
     calls = _script_subcommands()
     assert calls, "no vf([...]) calls found under scripts/"
-    for where, sub in calls.items():
+    for where, (sub, options) in calls.items():
         with pytest.raises(SystemExit) as e:
             build_parser().parse_args([sub, "--help"])
-        capsys.readouterr()
+        usage = capsys.readouterr().out
         assert e.value.code == 0, f"{where}: unknown subcommand {sub!r}"
+        for opt in options:
+            assert re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", usage), \
+                f"{where}: {sub} has no option {opt}"

@@ -23,7 +23,7 @@ from viewfuse.tensor import Tensor, focal_loss, BACKGROUND
 
 
 def _codec():
-    return BoxCodec(x_scale=16.0, y_scale=16.0, z_scale=2.0)
+    return BoxCodec(x_scale=16.0, y_scale=16.0)
 
 
 def _gt(x=8.0, y=0.0, z=1.0, w=1.0, l=1.0, h=1.0, yaw=0.0, obj_id=0):
@@ -221,4 +221,4 @@ def test_decode_rows_contract():
 
 def test_decoder_layer_count_validation():
     with pytest.raises(ValueError):
-        DetrDecoder(c=4, n_layers=0)
+        DetrDecoder(c=4, rng=np.random.default_rng(0), n_layers=0)

@@ -13,12 +13,14 @@ import viewfuse.eval
 from viewfuse.eval import (
     IOU_THRESHOLDS,
     NMS_IOU,
+    PIPELINES,
     Detection,
     _scene_record,
     average_precision,
     ablation_ladder,
     detection_to_frame,
     evaluate_scene,
+    evaluate_scenes,
     iou_matrix,
     match_detections,
     near_pairs,
@@ -27,7 +29,6 @@ from viewfuse.eval import (
     rows_to_detections,
     run_fusion,
     run_late_fusion,
-    run_no_collaboration,
     sweep,
 )
 from viewfuse.geometry import clip_convex, polygon_area, rect_corners
@@ -464,7 +465,8 @@ def test_scene_record_keys_match_formats_doc(rig):
 
 def test_no_collab_sends_nothing(rig):
     model, scenes = rig
-    r = run_no_collaboration(model, scenes)
+    r = evaluate_scenes(model, scenes, PIPELINES["no_collab"],
+                        label="no_collab")
     assert r.total_bytes == 0
     assert r.comm_log2 is None
 
@@ -472,7 +474,8 @@ def test_no_collab_sends_nothing(rig):
 def test_single_agent_late_equals_no_collab():
     model = small_model()
     scenes = [generate_scene(small_scene_cfg(n_agents=1), s) for s in (3, 7)]
-    a = run_no_collaboration(model, scenes)
+    a = evaluate_scenes(model, scenes, PIPELINES["no_collab"],
+                        label="no_collab")
     b = run_late_fusion(model, scenes)
     assert a.ap == b.ap
     assert a.per_scene == b.per_scene

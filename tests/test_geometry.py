@@ -205,7 +205,7 @@ def test_projection_equivariance_across_frames():
 
 def test_unproject_roundtrip():
     cam = make_cam()
-    opt = unproject_feature_to_optical(cam, 10.0, 5.0, depth=1.0)
+    opt = unproject_feature_to_optical(cam, 10.0, 5.0)
     np.testing.assert_allclose(opt[2], 1.0)
     local = optical_to_local(opt)
     world = apply_pose(camera_in_frame(cam, Pose()), local)
