@@ -288,8 +288,10 @@ def cmd_inspect_message(args) -> int:
     magic = buf[:4]
     if magic == comms.INSTANCE_MAGIC:
         pay = comms.decode_message(buf).payload
-        payload = (comms.INSTANCE_HEADER_BYTES, 4 * pay.size, "payload",
-                   f"{pay.size} f32 in [{pay.min():g}, {pay.max():g}]")
+        shown = f"{pay.size} f32"
+        if pay.size:
+            shown += f" in [{pay.min():g}, {pay.max():g}]"
+        payload = (comms.INSTANCE_HEADER_BYTES, 4 * pay.size, "payload", shown)
         print(f"instance message, {len(buf)} bytes")
         print(_hexdump_rows(buf, comms.INSTANCE_FIELDS, [payload]))
         return EXIT_OK

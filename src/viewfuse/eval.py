@@ -128,15 +128,20 @@ def match_detections(dets: list[Detection], gts: list[GtBox],
     Each GT is claimed at most once per threshold. Returns, keyed by
     threshold, a true/false flag per detection in the original order. One
     det x GT IoU matrix serves every threshold; ``iou_fn`` must be 0 on
-    boxes whose circumcircles are apart, which ``iou_matrix`` skips.
+    boxes whose circumcircles are apart, which ``iou_matrix`` skips. A
+    detection whose best IoU with any GT is below a threshold cannot match
+    there and skips the search.
     """
     iou = iou_matrix(dets, gts, iou_fn)
+    best = iou.max(axis=1, initial=-np.inf).tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     out = {}
     for thr in IOU_THRESHOLDS:
         free = np.ones(len(gts), dtype=bool)
         flags = [False] * len(dets)
         for i in order:
+            if best[i] < thr:
+                continue
             hits = np.flatnonzero(free & (iou[i] >= thr))
             if len(hits):
                 # highest-IoU free GT; argmax ties to the earliest

@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 from .geometry import CameraModel, Pose, project_points
 from .tensor import (
     Mlp,
+    Rows,
     Tensor,
     as_tensor,
     bilinear_sample,
@@ -140,8 +141,9 @@ def deformable_attention(off_mlp: Mlp, queries: Tensor, fmaps: Tensor,
 
     ``off_mlp`` maps each query to n_da (du, dv) offsets in cells and n_da
     weight logits. Row i samples ``fmaps`` at ``base[i]`` plus the offsets
-    of query ``rows[i]`` (default: query i); ``view`` names the map of each
-    row when ``fmaps`` is a stack, as in ``bilinear_sample``.
+    of query ``rows[i]`` (default: query i; ``rows`` is an index array or a
+    ``Rows``); ``view`` names the map of each row when ``fmaps`` is a
+    stack, as in ``bilinear_sample``.
     """
     n_da = off_mlp.widths[-1] // 3
     raw = off_mlp(queries)
@@ -169,6 +171,7 @@ class Sightings:
     height: np.ndarray        # [M]
     view: np.ndarray          # [M] index into maps
     cell: np.ndarray          # [M]
+    cell_rows: Rows           # ``cell`` for take_rows, one VJP matrix per cascade
     v_inv: np.ndarray         # [n_ref, H*W] 1 / observing views, 0 if none
     h_inv: np.ndarray         # [H*W] 1 / observed heights, 0 if none
     v_sum: csr_matrix         # [n_ref*H*W, M] ones: row (height, cell) sums its views
@@ -210,8 +213,9 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
     v_inv = np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0)
     h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
     return Sightings(maps=maps, uv=uv[height, view, cell], height=height,
-                     view=view, cell=cell, v_inv=v_inv, h_inv=h_inv,
-                     v_sum=v_sum, coef=v_inv[height, cell] * h_inv[cell])
+                     view=view, cell=cell, cell_rows=Rows(cell), v_inv=v_inv,
+                     h_inv=h_inv, v_sum=v_sum,
+                     coef=v_inv[height, cell] * h_inv[cell])
 
 
 def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
@@ -250,7 +254,7 @@ def ifa_block_forward(block: IfaBlock, q: Tensor, views: list[BevView],
     if sight.maps is not None:
         nq = layer_norm(qf, block.ln1_g, block.ln1_b)
         f = deformable_attention(block.off_mlp, nq, sight.maps, sight.uv,
-                                 rows=sight.cell, view=sight.view)
+                                 rows=sight.cell_rows, view=sight.view)
         q1 = qf + _view_height_mean(f, sight)
     q2 = q1 + block.ffn(layer_norm(q1, block.ln2_g, block.ln2_b))
     return q2.transpose().reshape(c, gh, gw)

@@ -369,10 +369,19 @@ def train_step(scenes: list[Scene], model: PipelineModel, opt: Adam,
                noise_sigma: float = 0.0,
                noise_rng: np.random.Generator | None = None,
                detector_mode: str = "train") -> float:
-    """Forward, loss, backward, optimizer step over a scene batch."""
+    """Forward, loss, backward, optimizer step over a scene batch.
+
+    Scenes go through forward, loss and backward one at a time, in batch
+    order, each loss scaled by ``1/len(scenes)``; parameter gradients add up
+    in ``.grad`` across the backward calls. Each scene's graph is dropped
+    before the next forward, so a step holds one graph and its memory does
+    not grow with the batch. The returned batch loss is
+    ``((l1 + l2) + ...) * (1/n)`` on the scene losses.
+    """
     if not scenes:
         raise ValueError("empty scene batch")
     opt.zero_grad()
+    scale = 1.0 / len(scenes)
     total = None
     for scene in scenes:
         fr = model_forward(model, scene, flags, wire=False,
@@ -380,20 +389,26 @@ def train_step(scenes: list[Scene], model: PipelineModel, opt: Adam,
                            detector_mode=detector_mode)
         gts = ego_frame_targets(scene, model.spec, model.cfg.vis_min)
         loss = set_loss(fr.preds, gts, model.codec, model.weights)
-        total = loss if total is None else total + loss
-    total = total * (1.0 / len(scenes))
-    value = float(total.data)
-    if not np.isfinite(value):
-        stats = {k: float(np.abs(t.data).max())
-                 for k, t in sorted(model.params().items())}
-        worst = sorted(stats, key=stats.get, reverse=True)[:5]
-        raise TrainingError(
-            "non-finite loss "
-            f"{value} on batch of {len(scenes)} scene(s); largest parameter "
-            "magnitudes: " + ", ".join(f"{k}={stats[k]:.3g}" for k in worst))
-    total.backward()
+        _check_finite(float(loss.data), model, len(scenes))
+        total = loss.data if total is None else total + loss.data
+        (loss * scale).backward()
+        del fr, loss    # no graph survives into the next scene's forward
+    value = float(total * scale)
+    _check_finite(value, model, len(scenes))
     opt.step()
     return value
+
+
+def _check_finite(value: float, model: PipelineModel, n: int) -> None:
+    if np.isfinite(value):
+        return
+    stats = {k: float(np.abs(t.data).max())
+             for k, t in sorted(model.params().items())}
+    worst = sorted(stats, key=stats.get, reverse=True)[:5]
+    raise TrainingError(
+        "non-finite loss "
+        f"{value} on batch of {n} scene(s); largest parameter "
+        "magnitudes: " + ", ".join(f"{k}={stats[k]:.3g}" for k in worst))
 
 
 # ---- checkpointing ----

@@ -9,7 +9,9 @@ stale-state coupling between passes).
 
 ``.grad`` arrays are read-only by contract and may share memory: the two
 operands of ``a + b`` get the same array. Replace a gradient, never write
-into it.
+into it. Gradients accumulate across ``backward`` calls until
+``zero_grad``; ``model.train_step`` relies on this to run one backward per
+scene and add the scenes' parameter gradients up.
 
 Three hot composites are single nodes with hand-written VJPs, so a graph
 keeps one output per call instead of every intermediate: ``linear`` (one
@@ -337,17 +339,38 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(ts), vjp)
 
 
+class Rows:
+    """Row indices for ``take_rows``. Every take over one ``Rows`` shares
+    the VJP's scatter matrix, built on the first VJP that needs it."""
+
+    __slots__ = ("idx", "_scatter")
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx, dtype=np.intp)
+        self._scatter = None
+
+    def scatter(self, n: int):
+        """[n, len(idx)] ones that sum each gathered row back into its source
+        row, in row order, as ``np.add.at`` would."""
+        if self._scatter is None or self._scatter.shape[0] != n:
+            m = self.idx.size
+            self._scatter = csr_matrix(
+                (np.ones(m), self.idx, np.arange(m + 1)), shape=(m, n)).T
+        return self._scatter
+
+
 def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows of ``x`` along axis 0; duplicate indices are fine."""
-    idx = np.asarray(idx, dtype=np.intp)
+    """Gather rows of ``x`` along axis 0; duplicate indices are fine.
+
+    ``idx`` is an index array or a ``Rows`` shared by several takes.
+    """
+    rows = idx if isinstance(idx, Rows) else Rows(idx)
     a = as_tensor(x)
-    out_data = np.take(a.data, idx, axis=0)
+    out_data = np.take(a.data, rows.idx, axis=0)
 
     def vjp(g):
-        # row-order sums, as np.add.at would make them
-        pick = csr_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
-                          shape=(idx.size, a.shape[0]))
-        return ((pick.T @ g.reshape(idx.size, -1)).reshape(a.shape),)
+        m = rows.idx.size
+        return ((rows.scatter(a.shape[0]) @ g.reshape(m, -1)).reshape(a.shape),)
 
     return Tensor._make(out_data, (a,), vjp)
 

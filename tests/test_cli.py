@@ -437,6 +437,17 @@ def test_inspect_instance_message(tmp_path, capsys):
     assert "0x0025" in out   # payload offset equals the header size
 
 
+def test_inspect_instance_message_with_empty_payload(tmp_path, capsys):
+    m = comms.InstanceMessage(
+        agent_id=0, view_id=1, index=0, box=(0.0, 0.0, 1.0, 1.0),
+        confidence=0.5, payload=np.zeros((0, 1, 1), dtype=np.float32))
+    p = tmp_path / "m.bin"
+    p.write_bytes(comms.encode_message(m))
+    assert main(["inspect-message", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "0 f32" in out and " in [" not in out
+
+
 def test_inspect_detection_message(tmp_path, capsys):
     d = comms.DetectionMessage(agent_id=0, index=1,
                                box=(1.0, -2.0, 0.75, 0.9, 1.8, 4.4, 1.5),

@@ -1,4 +1,6 @@
 """Pipeline assembly: forward paths, training step, checkpoints."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from viewfuse.model import (
     save_checkpoint,
     train_step,
 )
+from viewfuse.decoder import set_loss
 from viewfuse.geometry import apply_pose, invert
 from viewfuse.scene import generate_scene, truncate_scene
 from viewfuse.tensor import Adam, Tensor
@@ -141,7 +144,6 @@ def test_training_reduces_loss():
     opt = Adam(model.params(), lr=2.5e-3)
 
     def mean_loss():
-        from viewfuse.decoder import set_loss
         tot = 0.0
         for sc in scenes:
             fr = model_forward(model, sc, FLAGS_FULL, wire=False)
@@ -157,14 +159,77 @@ def test_training_reduces_loss():
     assert after < before
 
 
+def _whole_batch_grads(scenes, model):
+    """The former step's gradients: every scene's graph alive, the summed
+    loss scaled by 1/n, one backward."""
+    total = None
+    for scene in scenes:
+        fr = model_forward(model, scene, FLAGS_FULL, wire=False)
+        gts = ego_frame_targets(scene, model.spec, model.cfg.vis_min)
+        loss = set_loss(fr.preds, gts, model.codec, model.weights)
+        total = loss if total is None else total + loss
+    total = total * (1.0 / len(scenes))
+    total.backward()
+    return float(total.data), {k: t.grad for k, t in model.params().items()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_streamed_step_matches_whole_batch_backward(n):
+    scenes = [generate_scene(small_scene_cfg(), s) for s in (5, 6, 7)][:n]
+    ref_model = PipelineModel(small_model_cfg(), np.random.default_rng(3))
+    want_loss, want = _whole_batch_grads(scenes, ref_model)
+    model = PipelineModel(small_model_cfg(), np.random.default_rng(3))
+    loss = train_step(scenes, model, Adam(model.params(), lr=2e-3))
+    assert loss == want_loss
+    for k, t in model.params().items():
+        np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15,
+                                   err_msg=k)
+
+
+def test_step_memory_does_not_grow_with_the_batch():
+    scenes = [generate_scene(small_scene_cfg(), s) for s in (5, 6, 7)]
+    model = PipelineModel(small_model_cfg(), np.random.default_rng(3))
+    opt = Adam(model.params(), lr=2e-3)
+    train_step(scenes[:1], model, opt)     # first-step allocations
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            train_step(batch, model, opt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(scenes[:1]), peak(scenes)
+    assert three <= 1.3 * one, (one, three)
+
+
 def test_non_finite_loss_raises(monkeypatch, setup):
+    """A non-finite scene loss, the first or a later one, leaves weights and
+    Adam as they were."""
     scene, _ = setup
     model = PipelineModel(small_model_cfg(), np.random.default_rng(2))
     opt = Adam(model.params())
-    monkeypatch.setattr("viewfuse.model.set_loss",
-                        lambda *a, **k: Tensor(np.float64("nan")))
-    with pytest.raises(TrainingError, match="non-finite"):
-        train_step([scene], model, opt)
+    train_step([scene], model, opt)
+    before = {k: t.data.copy() for k, t in model.params().items()}
+    m_before = {k: v.copy() for k, v in opt.m.items()}
+    for batch, nan_at in ((1, 1), (3, 2)):
+        calls = []
+
+        def nan_once(*a, **k):
+            calls.append(1)
+            loss = set_loss(*a, **k)
+            return Tensor(np.float64("nan")) if len(calls) == nan_at else loss
+
+        monkeypatch.setattr("viewfuse.model.set_loss", nan_once)
+        with pytest.raises(TrainingError, match="non-finite loss nan.*"
+                           "largest parameter magnitudes"):
+            train_step([scene] * batch, model, opt)
+        assert len(calls) == nan_at
+        assert opt.t == 1
+        for k, t in model.params().items():
+            np.testing.assert_array_equal(t.data, before[k], err_msg=k)
+            np.testing.assert_array_equal(opt.m[k], m_before[k], err_msg=k)
 
 
 def test_checkpoint_round_trip(tmp_path, setup):

@@ -205,6 +205,34 @@ def test_getitem_grad_equals_add_at_bitwise(key):
     assert a.grad.tobytes() == want.tobytes()
 
 
+def test_take_rows_shares_one_scatter_matrix(monkeypatch):
+    """Takes over one ``Rows`` give the bits of plain index arrays; the
+    forward builds no matrix and the first VJP builds the only one."""
+    rng = np.random.default_rng(9)
+    idx = [2, 0, 2, 1, 2]
+    x = rng.normal(size=(3, 4))
+    ga, gb = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    built = []
+    csr = T.csr_matrix
+    monkeypatch.setattr(T, "csr_matrix",
+                        lambda *a, **k: built.append(1) or csr(*a, **k))
+
+    def grads(rows):
+        del built[:]
+        a = Tensor(x, requires_grad=True)
+        b = Tensor(x * 2.0, requires_grad=True)
+        y = ((T.take_rows(a, rows) * Tensor(ga)).sum()
+             + (T.take_rows(b, rows) * Tensor(gb)).sum())
+        assert not built
+        y.backward()
+        return a.grad.tobytes(), b.grad.tobytes(), len(built)
+
+    *plain, n_plain = grads(idx)
+    *shared, n_shared = grads(T.Rows(idx))
+    assert shared == plain
+    assert (n_plain, n_shared) == (2, 1)
+
+
 def test_grad_reaches_intermediates():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     mid = x * 2.0
