@@ -117,12 +117,12 @@ def _safe_name(label: str) -> str:
 
 
 def format_table(reports: list[EvalReport]) -> str:
-    hdr = (f"{'label':<24}{'AP@0.30':>9}{'AP@0.50':>9}{'AP@0.70':>9}"
+    hdr = (f"{'label':<32}{'AP@0.30':>9}{'AP@0.50':>9}{'AP@0.70':>9}"
            f"{'comm_log2':>11}{'bytes':>12}")
     lines = [hdr]
     for r in reports:
         comm = f"{r.comm_log2:11.2f}" if r.comm_log2 is not None else f"{'-':>11}"
-        lines.append(f"{r.label:<24}"
+        lines.append(f"{r.label:<32}"
                      f"{r.ap[0.30]:9.4f}{r.ap[0.50]:9.4f}{r.ap[0.70]:9.4f}"
                      f"{comm}{r.total_bytes:>12d}")
     return "\n".join(lines)
@@ -182,8 +182,8 @@ def cmd_eval(args) -> int:
     scenes = _scenes(cfg, cfg.eval)
     kw = _eval_kwargs(cfg, noise_override=args.noise, c_thre=args.eval_c_thre)
     if args.sweep:
-        return _run_sweep(args.sweep[0], args.sweep[1], model, scenes, flags,
-                          cfg, out, kw)
+        return _run_sweep(args.sweep[0], args.sweep[1], model, scenes,
+                          args.pipeline, cfg, out, kw)
     reports = [evaluate_scenes(model, scenes, flags, label=args.pipeline,
                                **kw)]
     _save_reports(reports, out)
@@ -195,7 +195,7 @@ CLI_SWEEP_AXES = {"noise": "noise_sigma", "c_thre": "c_thre",
                   "agents": "n_agents"}
 
 
-def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
+def _run_sweep(axis_name: str, value_spec: str, model, scenes, pipeline: str,
                cfg: ExperimentConfig, out: Path, kw: dict) -> int:
     if axis_name not in CLI_SWEEP_AXES:
         raise ConfigError(
@@ -210,13 +210,13 @@ def _run_sweep(axis_name: str, value_spec: str, model, scenes, flags,
             f'1..{n_agents}, the agent count of the eval scenes')
     kw = dict(kw)
     kw.pop(axis, None)   # the sweep sets it per point
-    reports = sweep(axis, values, model, scenes, flags, **kw)
+    reports = sweep(axis, values, model, scenes, pipeline, **kw)
     _save_reports(reports, out)
     rows = _report_csv_rows(reports)
     for row, v in zip(rows[1:], values):
         row.insert(0, v)
     rows[0].insert(0, axis)
-    _write_csv(out / f"sweep_{_safe_name(axis)}.csv", rows)
+    _write_csv(out / f"sweep_{_safe_name(pipeline)}_{axis}.csv", rows)
     print(format_table(reports))
     return EXIT_OK
 

@@ -384,8 +384,13 @@ SWEEP_AXES = ("noise_sigma", "n_agents", "c_thre")
 
 
 def sweep(axis: str, values, model: PipelineModel, scenes: list[Scene],
-          flags: PipelineFlags = FLAGS_FULL, **kw) -> list[EvalReport]:
-    """One evaluation of one model per value over a shared scene set."""
+          pipeline: str = "fused", **kw) -> list[EvalReport]:
+    """One evaluation of one model per value over a shared scene set.
+
+    Runs the ``PIPELINES`` entry ``pipeline``; a point's label is
+    ``{pipeline}:{axis}={value}``.
+    """
+    flags = PIPELINES[pipeline]
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; one of {SWEEP_AXES}")
     if not values:
@@ -396,10 +401,11 @@ def sweep(axis: str, values, model: PipelineModel, scenes: list[Scene],
                         for s in scenes}
         return [evaluate_scenes(model, [truncate_scene(s, int(v))
                                         for s in scenes], flags,
-                                label=f"n_agents={int(v)}",
+                                label=f"{pipeline}:n_agents={int(v)}",
                                 targets=base_targets, **kw)
                 for v in values]
     # noise_sigma and c_thre are evaluate_scenes keywords of the same name
-    return [evaluate_scenes(model, scenes, flags, label=f"{axis}={v:g}",
+    return [evaluate_scenes(model, scenes, flags,
+                            label=f"{pipeline}:{axis}={v:g}",
                             **{axis: float(v)}, **kw)
             for v in values]

@@ -237,12 +237,15 @@ SAT_GAP = 1e-6
 SAT_DEPTH = 1e-4
 
 
-def rects_overlap(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two rectangles (``rect_corners`` output) share interior area.
+def rects_overlap(a, b) -> bool:
+    """True when two rectangles share interior area.
 
-    The decision is ``polygon_area(clip_convex(a, b)) > 1e-12``; the
+    ``a`` and ``b`` are ``rect_corners`` arrays or the same corners as
+    Python lists (``rect_corners(...).tolist()``); both give the same
+    answer. The decision is ``polygon_area(clip_convex(a, b)) > 1e-12``; the
     separating-axis theorem settles most pairs without the clip. Both
-    rectangles are projected on their four edge axes.
+    rectangles are projected on their four edge axes, unrolled on Python
+    floats in the order of the corners.
 
     - A gap wider than ``SAT_GAP`` on one axis means the exact intersection
       is empty, and the clip's vertices, which lie within rounding of both
@@ -257,26 +260,38 @@ def rects_overlap(a: np.ndarray, b: np.ndarray) -> bool:
       7.8e-9, far above the clip's 1e-12 threshold and its rounding at
       coordinates below ~100 m.
 
-    Pairs in neither band, touching within rounding, go to the clip.
+    Pairs in neither band, touching within rounding, go to the clip. Scene
+    generation settles deeply overlapping boxes by their inscribed discs
+    before it gets here (``scene.DEEP_OVERLAP``).
     """
-    pa = a.tolist()
-    pb = b.tolist()
-    depth = math.inf
-    shortest = math.inf
+    pa = a.tolist() if isinstance(a, np.ndarray) else a
+    pb = b.tolist() if isinstance(b, np.ndarray) else b
+    (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = pa
+    (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = pb
+    depth = shortest = math.inf
     sides = 0.0
-    for (x0, y0), (x1, y1), _, (x3, y3) in (pa, pb):
-        for nx, ny in ((x1 - x0, y1 - y0), (x3 - x0, y3 - y0)):
-            side = math.hypot(nx, ny)
-            if side == 0.0:
-                return polygon_area(clip_convex(a, b)) > 1e-12
-            ka = [x * nx + y * ny for x, y in pa]
-            kb = [x * nx + y * ny for x, y in pb]
-            over = min(max(ka) - min(kb), max(kb) - min(ka)) / side
-            if over < -SAT_GAP:
-                return False
-            depth = min(depth, over)
-            shortest = min(shortest, side)
-            sides += side
+    for nx, ny in ((a1x - a0x, a1y - a0y), (a3x - a0x, a3y - a0y),
+                   (b1x - b0x, b1y - b0y), (b3x - b0x, b3y - b0y)):
+        side = math.hypot(nx, ny)
+        if side == 0.0:
+            return polygon_area(clip_convex(np.array(pa), np.array(pb))) > 1e-12
+        ka0 = a0x * nx + a0y * ny
+        ka1 = a1x * nx + a1y * ny
+        ka2 = a2x * nx + a2y * ny
+        ka3 = a3x * nx + a3y * ny
+        kb0 = b0x * nx + b0y * ny
+        kb1 = b1x * nx + b1y * ny
+        kb2 = b2x * nx + b2y * ny
+        kb3 = b3x * nx + b3y * ny
+        over = min(max(ka0, ka1, ka2, ka3) - min(kb0, kb1, kb2, kb3),
+                   max(kb0, kb1, kb2, kb3) - min(ka0, ka1, ka2, ka3)) / side
+        if over < -SAT_GAP:
+            return False
+        if over < depth:
+            depth = over
+        if side < shortest:
+            shortest = side
+        sides += side
     if depth * shortest > SAT_DEPTH * sides:
         return True
-    return polygon_area(clip_convex(a, b)) > 1e-12
+    return polygon_area(clip_convex(np.array(pa), np.array(pb))) > 1e-12

@@ -417,31 +417,55 @@ AGENT_CLEAR_L = 5.6
 CAR_RADIUS_MAX = math.hypot(CAR_W[1], CAR_L[1]) / 2.0
 
 
-def _agent_rect(pose: Pose) -> np.ndarray:
-    return rect_corners(pose.x, pose.y, AGENT_CLEAR_W, AGENT_CLEAR_L, pose.yaw)
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` bit for bit, at a third of its call cost.
+
+    This is numpy's own formula (``random_uniform``: low + range *
+    next_double) on the draw ``rng.random()`` takes from the same stream.
+    """
+    return lo + (hi - lo) * rng.random()
+
+
+def _agent_rect(pose: Pose) -> list:
+    return rect_corners(pose.x, pose.y, AGENT_CLEAR_W, AGENT_CLEAR_L, pose.yaw).tolist()
+
+
+# a centre distance this far inside the sum of the inscribed radii is a clash
+# without the overlap test: the inscribed discs then share a lens of area
+# ~4e-5 m^2 or more, far above the 1e-12 of ``rects_overlap``'s clip
+DEEP_OVERLAP = 1e-3
 
 
 class _Placed:
-    """A box under placement, with its BEV corners and radius computed once.
+    """A box under placement, with its radii and, once read, its corners.
 
-    ``corners`` feeds ``rects_overlap``; ``pts``, the same corners as Python
-    floats, feeds the bearing spans.
+    ``radius`` (circumscribed) and ``inner`` (inscribed, half the shorter
+    side) bound the box by discs; ``clashes`` decides most pairs from them.
+    ``pts``, the ``rect_corners`` output as Python floats, feeds
+    ``rects_overlap`` and the bearing spans. It is computed the first time
+    it is read, so the candidates the discs settle never pay for it.
     """
 
-    __slots__ = ("box", "corners", "pts", "radius")
+    __slots__ = ("box", "radius", "inner", "_pts")
 
     def __init__(self, box: GtBox):
         self.box = box
-        self.corners = box.corners_bev()
-        self.pts = self.corners.tolist()
         self.radius = math.hypot(box.w, box.l) / 2.0
+        self.inner = min(box.w, box.l) / 2.0
+        self._pts = None
+
+    @property
+    def pts(self) -> list:
+        if self._pts is None:
+            self._pts = self.box.corners_bev().tolist()
+        return self._pts
 
 
 def _sample_box(rng, obj_id, x, y, yaw, kind) -> _Placed:
     w_rng, l_rng, h_rng = (CAR_W, CAR_L, CAR_H) if kind == "car" else (TRUCK_W, TRUCK_L, TRUCK_H)
-    w = rng.uniform(*w_rng)
-    l = rng.uniform(*l_rng)
-    h = rng.uniform(*h_rng)
+    w = _uniform(rng, *w_rng)
+    l = _uniform(rng, *l_rng)
+    h = _uniform(rng, *h_rng)
     return _Placed(GtBox(obj_id=obj_id, x=_snap(x), y=_snap(y), z=h / 2.0, w=w, l=l, h=h,
                          yaw=_snap(normalize_angle(yaw), YAW_SNAP)))
 
@@ -511,17 +535,17 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
 
 def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     # agents: ego near the world center of a randomly offset frame
-    ego_pose = Pose(_snap(rng.uniform(-4.0, 4.0)), _snap(rng.uniform(-4.0, 4.0)),
-                    0.0, _snap(rng.uniform(-math.pi, math.pi), YAW_SNAP))
+    ego_pose = Pose(_snap(_uniform(rng, -4.0, 4.0)), _snap(_uniform(rng, -4.0, 4.0)),
+                    0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
     agent_poses = [ego_pose]
     agent_rects = [_agent_rect(ego_pose)]
     for _ in range(cfg.n_agents - 1):
         for _attempt in range(60):
-            d = rng.uniform(5.0, 11.0)
-            phi = rng.uniform(-math.pi, math.pi)
+            d = _uniform(rng, 5.0, 11.0)
+            phi = _uniform(rng, -math.pi, math.pi)
             pose = Pose(_snap(ego_pose.x + d * math.cos(phi)),
                         _snap(ego_pose.y + d * math.sin(phi)),
-                        0.0, _snap(rng.uniform(-math.pi, math.pi), YAW_SNAP))
+                        0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
             rect = _agent_rect(pose)
             if all(not rects_overlap(rect, arect) for arect in agent_rects):
                 agent_poses.append(pose)
@@ -533,7 +557,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     agents = []
     for i, pose in enumerate(agent_poses):
         valid = tuple(True if i == 0 or cfg.missing_view_prob == 0.0
-                      else bool(rng.uniform() >= cfg.missing_view_prob)
+                      else bool(rng.random() >= cfg.missing_view_prob)
                       for _ in range(cfg.n_cams))
         if not any(valid):
             valid = (True,) + valid[1:]
@@ -547,6 +571,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     if n_occluded > 0 and cfg.range_m - 1.5 <= 7.2:
         return "range too small for occlusion pairs"
     agent_radius = math.hypot(AGENT_CLEAR_W, AGENT_CLEAR_L) / 2.0
+    agent_inner = min(AGENT_CLEAR_W, AGENT_CLEAR_L) / 2.0
 
     boxes: list[_Placed] = []
     protected: list[_Placed] = []
@@ -554,15 +579,18 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     clear_sets: list[list[int]] = []
 
     def clashes(cand: _Placed) -> bool:
-        box, rect, r = cand.box, cand.corners, cand.radius
+        x, y, r, inner = cand.box.x, cand.box.y, cand.radius, cand.inner
         for p, arect in zip(agent_poses, agent_rects):
-            if math.hypot(box.x - p.x, box.y - p.y) <= r + agent_radius and \
-                    rects_overlap(rect, arect):
+            d = math.hypot(x - p.x, y - p.y)
+            if d <= r + agent_radius and (d < inner + agent_inner - DEEP_OVERLAP
+                                          or rects_overlap(cand.pts, arect)):
                 return True
-        return any(
-            math.hypot(box.x - b.box.x, box.y - b.box.y) <= r + b.radius
-            and rects_overlap(rect, b.corners)
-            for b in boxes)
+        for b in boxes:
+            d = math.hypot(x - b.box.x, y - b.box.y)
+            if d <= r + b.radius and (d < inner + b.inner - DEEP_OVERLAP
+                                      or rects_overlap(cand.pts, b.pts)):
+                return True
+        return False
 
     def facing_view_ok(c: int, bearing: float) -> bool:
         # ring cameras tile the circle without overlap, so a target is imaged
@@ -607,7 +635,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             can_fresh = slots >= need + 1   # a fresh pair costs two box slots
             if not can_fresh and not occluders:
                 break
-            if occluders and (not can_fresh or rng.uniform() < 0.5):
+            if occluders and (not can_fresh or rng.random() < 0.5):
                 # hide another target behind an occluder already in place,
                 # anywhere inside its angular shadow
                 occ = occluders[int(rng.integers(len(occluders)))]
@@ -616,16 +644,16 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 hi = min(cfg.range_m - 1.5, d_o / 0.30)
                 if lo >= hi:
                     continue
-                dt = rng.uniform(lo, hi)
+                dt = _uniform(rng, lo, hi)
                 bearing_o = math.atan2(occ.box.y - ego_pose.y, occ.box.x - ego_pose.x)
                 o_lo, o_hi = _bearing_span(ego_xy, occ.pts, bearing_o)
                 th = math.asin(min(1.0, (CAR_RADIUS_MAX + 0.1) / dt)) + 0.02
                 if o_lo + th >= o_hi - th:
                     continue
-                phi = bearing_o + rng.uniform(o_lo + th, o_hi - th)
+                phi = bearing_o + _uniform(rng, o_lo + th, o_hi - th)
                 tgt = _sample_box(rng, next_id, ego_pose.x + dt * math.cos(phi),
                                   ego_pose.y + dt * math.sin(phi),
-                                  rng.uniform(-math.pi, math.pi), "car")
+                                  _uniform(rng, -math.pi, math.pi), "car")
                 tgt.box.occluded = True
                 if clashes(tgt) or not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                     continue
@@ -642,19 +670,19 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 next_id += 1
                 placed = True
                 break
-            phi = rng.uniform(-math.pi, math.pi)
-            dt = rng.uniform(7.0, cfg.range_m - 1.5)
+            phi = _uniform(rng, -math.pi, math.pi)
+            dt = _uniform(rng, 7.0, cfg.range_m - 1.5)
             tgt = _sample_box(rng, next_id + 1, ego_pose.x + dt * math.cos(phi),
                               ego_pose.y + dt * math.sin(phi),
-                              rng.uniform(-math.pi, math.pi), "car")
+                              _uniform(rng, -math.pi, math.pi), "car")
             tgt.box.occluded = True
-            do = dt * rng.uniform(0.30, 0.62)
+            do = dt * _uniform(rng, 0.30, 0.62)
             if do < 2.4:
                 continue
             occ = _sample_box(rng, next_id, ego_pose.x + do * math.cos(phi),
                               ego_pose.y + do * math.sin(phi),
-                              phi + math.pi / 2.0 + rng.uniform(-0.25, 0.25), "truck")
-            if clashes(occ) or clashes(tgt) or rects_overlap(occ.corners, tgt.corners):
+                              phi + math.pi / 2.0 + _uniform(rng, -0.25, 0.25), "truck")
+            if clashes(occ) or clashes(tgt) or rects_overlap(occ.pts, tgt.pts):
                 continue
             if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                 continue
@@ -680,11 +708,11 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
 
     while len(boxes) < n_obj:
         for _attempt in range(300):
-            phi = rng.uniform(-math.pi, math.pi)
-            d = rng.uniform(3.0, cfg.range_m - 1.5)
+            phi = _uniform(rng, -math.pi, math.pi)
+            d = _uniform(rng, 3.0, cfg.range_m - 1.5)
             box = _sample_box(rng, next_id, ego_pose.x + d * math.cos(phi),
                               ego_pose.y + d * math.sin(phi),
-                              rng.uniform(-math.pi, math.pi), "car")
+                              _uniform(rng, -math.pi, math.pi), "car")
             if clashes(box):
                 continue
             updated = shrunk_clear_sets([box])

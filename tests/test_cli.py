@@ -279,8 +279,8 @@ def test_sweep_emits_one_row_per_point(trained, capsys):
     cp, run = trained
     assert main(["eval", "--config", str(cp), "--sweep", "noise", "0:0.6:7"]) == 0
     out = capsys.readouterr().out
-    assert out.count("noise_sigma=") == 7
-    rows = (run / "sweep_noise_sigma.csv").read_text().splitlines()
+    assert out.count("fused:noise_sigma=") == 7
+    rows = (run / "sweep_fused_noise_sigma.csv").read_text().splitlines()
     assert len(rows) == 8
     assert rows[0].startswith("noise_sigma,label,")
 
@@ -290,7 +290,7 @@ def test_sweep_value_list(trained, capsys):
     assert main(["eval", "--config", str(cp), "--sweep", "c_thre",
                  "0.1,0.5"]) == 0
     capsys.readouterr()
-    rows = (run / "sweep_c_thre.csv").read_text().splitlines()
+    rows = (run / "sweep_fused_c_thre.csv").read_text().splitlines()
     assert len(rows) == 3
 
 
@@ -301,13 +301,36 @@ def test_sweep_runs_the_chosen_pipeline(trained, tmp_path, capsys):
                  "--checkpoint", str(run / "checkpoint.npz"),
                  "--out", str(tmp_path), "--sweep", "noise", "0:0:2"]) == 0
     capsys.readouterr()
-    with open(tmp_path / "sweep_noise_sigma.csv", newline="") as f:
+    with open(tmp_path / "sweep_late_noise_sigma.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     for row in rows:
+        assert row["label"].startswith("late:noise_sigma=")
         n_bytes = int(row["total_bytes"])
         assert n_bytes > 0
         assert n_bytes % comms.DETECTION_MESSAGE_BYTES == 0
+
+
+def test_sweeps_of_two_pipelines_share_a_directory(trained, tmp_path, capsys):
+    # file names and labels carry the pipeline, so one sweep never
+    # overwrites another pipeline's table or reports
+    cp, run = trained
+    out = ["--config", str(cp), "--checkpoint", str(run / "checkpoint.npz"),
+           "--out", str(tmp_path), "--sweep", "noise", "0,0.3"]
+    assert main(["eval", *out]) == 0
+    fused_csv = (tmp_path / "sweep_fused_noise_sigma.csv").read_bytes()
+    fused_report = (tmp_path / "report_fused_noise_sigma_0.3.jsonl").read_bytes()
+    assert main(["eval", *out, "--pipeline", "late"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sweep_fused_noise_sigma.csv").read_bytes() == fused_csv
+    assert (tmp_path / "report_fused_noise_sigma_0.3.jsonl").read_bytes() == fused_report
+    with open(tmp_path / "sweep_late_noise_sigma.csv", newline="") as f:
+        late = [row["label"] for row in csv.DictReader(f)]
+    assert late == ["late:noise_sigma=0", "late:noise_sigma=0.3"]
+    assert _summary(tmp_path / "report_late_noise_sigma_0.3.jsonl")["label"] == \
+        "late:noise_sigma=0.3"
+    assert sorted(p.name for p in tmp_path.glob("sweep_*.csv")) == [
+        "sweep_fused_noise_sigma.csv", "sweep_late_noise_sigma.csv"]
 
 
 def test_sweep_bad_axis(trained, capsys):
@@ -321,7 +344,7 @@ def test_sweep_agents_beyond_the_scene_roster(trained, capsys):
     assert main(["eval", "--config", str(cp), "--sweep", "agents", "1,3"]) == 2
     err = capsys.readouterr().err
     assert "agents" in err and "1..2" in err
-    assert not (run / "sweep_n_agents.csv").exists()
+    assert not list(run.glob("sweep_*n_agents.csv"))
 
 
 # ---- ablate ----

@@ -510,13 +510,13 @@ def test_sweep_noise_zero_matches_base(rig):
     pts = sweep("noise_sigma", [0.0, 0.3], model, scenes, eval_seed=2)
     assert pts[0].ap == base.ap
     assert pts[0].per_scene == base.per_scene
-    assert pts[1].label == "noise_sigma=0.3"
+    assert pts[1].label == "fused:noise_sigma=0.3"
 
 
 def test_sweep_agents_shares_targets(rig):
     model, scenes = rig
     pts = sweep("n_agents", [1, 2], model, scenes)
-    assert [p.label for p in pts] == ["n_agents=1", "n_agents=2"]
+    assert [p.label for p in pts] == ["fused:n_agents=1", "fused:n_agents=2"]
     # identical task: per-scene GT counts agree across sweep points
     for a, b in zip(pts[0].per_scene, pts[1].per_scene):
         assert a["n_gt"] == b["n_gt"]

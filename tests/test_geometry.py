@@ -11,7 +11,7 @@ from viewfuse.geometry import (
     project_points, rect_corners, rects_overlap,
     relative_pose, unproject_feature_to_optical, optical_to_local,
 )
-from viewfuse.scene import POS_SNAP, YAW_SNAP, _snap
+from viewfuse.scene import DEEP_OVERLAP, POS_SNAP, YAW_SNAP, _snap
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -288,6 +288,15 @@ def _touch_distance(wa, la, ya, wb, lb, yb, d) -> float:
     return best
 
 
+def _assert_list_input_agrees(a, b):
+    """The same corners as Python lists give the array answer, both ways."""
+    for p, q in ((a, b), (b, a)):
+        want = rects_overlap(p, q)
+        assert rects_overlap(p.tolist(), q.tolist()) == want
+        assert rects_overlap(p.tolist(), q) == want
+        assert rects_overlap(p, q.tolist()) == want
+
+
 def test_rects_overlap_is_the_clip_predicate_near_contact():
     rng = np.random.default_rng(2024)
     for i in range(3000):
@@ -309,6 +318,7 @@ def test_rects_overlap_is_the_clip_predicate_near_contact():
         b = rect_corners(bx, by, wb, lb, yb)
         assert rects_overlap(a, b) == _clip_overlap(a, b), (i, gap)
         assert rects_overlap(b, a) == _clip_overlap(b, a), (i, gap)
+        _assert_list_input_agrees(a, b)
 
 
 def test_rects_overlap_adversarial_contacts():
@@ -336,6 +346,7 @@ def test_rects_overlap_adversarial_contacts():
         assert _clip_overlap(a, b) == want, name
         assert rects_overlap(a, b) == want, name
         assert rects_overlap(b, a) == want, name
+        _assert_list_input_agrees(a, b)
     # the same contacts on a rotated frame, yaw on the YAW_SNAP grid
     yaw = _snap(0.3, YAW_SNAP)
     c, s = math.cos(yaw), math.sin(yaw)
@@ -346,3 +357,39 @@ def test_rects_overlap_adversarial_contacts():
             rb = rect_corners(k * (c * dx - s * dy), k * (s * dx + c * dy), 2.0, 4.0, yaw)
             assert rects_overlap(ra, rb) == _clip_overlap(ra, rb), (dx, dy, eps)
             assert rects_overlap(rb, ra) == _clip_overlap(rb, ra), (dx, dy, eps)
+            _assert_list_input_agrees(ra, rb)
+
+
+def test_deep_overlap_rule_implies_the_clip_predicate():
+    # scene generation calls two boxes clashing, with no overlap test, when
+    # their centres are closer than the sum of their inscribed radii (half
+    # the shorter sides) minus DEEP_OVERLAP; the clip must agree on every
+    # such pair, most of all near that bound and with the short sides facing
+    rng = np.random.default_rng(1003)
+    n_deep = 0
+    for i in range(6000):
+        wa, wb = rng.uniform(0.2, 2.6, 2)
+        la, lb = rng.uniform(0.2, 6.0, 2)
+        ya = _snap(rng.uniform(-math.pi, math.pi), YAW_SNAP)
+        bound = min(wa, la) / 2.0 + min(wb, lb) / 2.0 - DEEP_OVERLAP
+        if i % 3 == 0:   # random pair
+            yb = rng.uniform(-math.pi, math.pi)
+            phi = rng.uniform(-math.pi, math.pi)
+            d = rng.uniform(0.0, 1.2) * bound
+        else:            # within 1e-3 m of the bound
+            yb = ya + rng.integers(4) * math.pi / 2.0 if i % 3 == 1 else \
+                rng.uniform(-math.pi, math.pi)
+            # across the shorter side of a when it faces b
+            phi = ya + (math.pi / 2.0 if wa <= la else 0.0)
+            d = bound + rng.uniform(-1e-3, 1e-3)
+        yb = _snap(yb, YAW_SNAP)
+        ax, ay = (_snap(v) for v in rng.uniform(-20.0, 20.0, 2))
+        bx, by = _snap(ax + d * math.cos(phi)), _snap(ay + d * math.sin(phi))
+        if math.hypot(bx - ax, by - ay) >= bound:
+            continue
+        n_deep += 1
+        a = rect_corners(ax, ay, wa, la, ya)
+        b = rect_corners(bx, by, wb, lb, yb)
+        assert _clip_overlap(a, b) and _clip_overlap(b, a), (i, d, bound)
+        assert rects_overlap(a.tolist(), b.tolist()), (i, d, bound)
+    assert n_deep > 3000
