@@ -20,7 +20,6 @@ from .geometry import (
     optical_to_local,
     unproject_feature_to_optical,
 )
-from .scene import Instance2D
 from .tensor import Mlp, Tensor, as_tensor, concat
 
 
@@ -42,46 +41,52 @@ class ConeDescriptor:
         return np.concatenate([self.p1, self.p2, self.c])
 
 
-def cone_descriptor(inst: Instance2D, cam: CameraModel,
-                    cam_pose_in_ego: Pose) -> ConeDescriptor:
-    """Lift the instance box corners to the z=1 m plane of the camera.
+def _lift(cam: CameraModel, cam_pose_in_ego: Pose, u: float,
+          v: float) -> np.ndarray:
+    """Feature point (u, v) on the camera's z=1 m plane, in the ego frame."""
+    opt = unproject_feature_to_optical(cam, u, v)
+    return apply_pose(cam_pose_in_ego, optical_to_local(opt))
 
-    The top-left and bottom-right feature-map corners are unprojected
-    through the inverse intrinsics, mapped to the camera-local frame and
-    then into the ego frame; ``c`` is the camera origin itself.
+
+def cone_descriptor(box, cam: CameraModel,
+                    cam_pose_in_ego: Pose) -> ConeDescriptor:
+    """Lift the corners of a 2-D box to the z=1 m plane of the camera.
+
+    ``box`` is ``(u_min, v_min, u_max, v_max)`` in feature cells. The
+    top-left and bottom-right corners are unprojected through the inverse
+    intrinsics, mapped to the camera-local frame and then into the ego
+    frame; ``c`` is the camera origin itself.
     """
-    if not (inst.u_max > inst.u_min or inst.v_max > inst.v_min):
+    u_min, v_min, u_max, v_max = box
+    if not (u_max > u_min or v_max > v_min):
         raise ValueError(f"degenerate instance box "
-                         f"({inst.u_min}, {inst.v_min})-({inst.u_max}, {inst.v_max})")
-    corners = []
-    for u, v in ((inst.u_min, inst.v_min), (inst.u_max, inst.v_max)):
-        opt = unproject_feature_to_optical(cam, u, v)
-        corners.append(apply_pose(cam_pose_in_ego, optical_to_local(opt)))
+                         f"({u_min}, {v_min})-({u_max}, {v_max})")
     origin = np.array([cam_pose_in_ego.x, cam_pose_in_ego.y,
                        cam_pose_in_ego.z])
-    return ConeDescriptor(p1=corners[0], p2=corners[1], c=origin)
+    return ConeDescriptor(p1=_lift(cam, cam_pose_in_ego, u_min, v_min),
+                          p2=_lift(cam, cam_pose_in_ego, u_max, v_max),
+                          c=origin)
 
 
-def cone_encode(inst: Instance2D, cam: CameraModel, cam_pose_in_ego: Pose,
+def cone_encode(box, cam: CameraModel, cam_pose_in_ego: Pose,
                 mlp: Mlp) -> Tensor:
-    """Embed the cone of an instance; input is the 9-value concatenation."""
-    desc = cone_descriptor(inst, cam, cam_pose_in_ego)
+    """Embed the cone of a 2-D box; input is the 9-value concatenation."""
+    desc = cone_descriptor(box, cam, cam_pose_in_ego)
     out = mlp(Tensor(desc.flat()[None, :]))
     return out.reshape(out.shape[1])
 
 
-def ground_anchor(inst: Instance2D, cam: CameraModel,
+def ground_anchor(box, cam: CameraModel,
                   cam_pose_in_ego: Pose) -> tuple[float, float] | None:
-    """Ego-frame ground point under an instance, or None for skyward rays.
+    """Ego-frame ground point under a 2-D box, or None for skyward rays.
 
-    The ray through the bottom-edge midpoint of the 2D box grazes the
+    The ray through the bottom-edge midpoint of the box grazes the
     object's ground contact, so intersecting it with z = 0 localizes the
     object ahead of any learning. Grazing or climbing rays (the camera
     sees the box above its own horizon) have no usable intersection.
     """
-    u_mid = 0.5 * (inst.u_min + inst.u_max)
-    opt = unproject_feature_to_optical(cam, u_mid, inst.v_max)
-    p = apply_pose(cam_pose_in_ego, optical_to_local(opt))
+    u_min, _, u_max, v_max = box
+    p = _lift(cam, cam_pose_in_ego, 0.5 * (u_min + u_max), v_max)
     c = np.array([cam_pose_in_ego.x, cam_pose_in_ego.y, cam_pose_in_ego.z])
     d = p - c
     if d[2] >= -1e-9 or c[2] <= 0.0:

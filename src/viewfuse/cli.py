@@ -8,7 +8,9 @@ the sidecar log, which is the only place timestamps are written. Exit codes
 are part of the contract so scripts can branch on the failure class:
 
     0  success
-    2  invalid config or command line (the message names the field)
+    2  invalid config or command line (the message names the field), or
+       an unreadable message (names the byte offset) or checkpoint (names
+       the path)
     3  training hit a non-finite loss
     4  checkpoint fingerprint does not match the config, or a checkpoint
        to resume or to fill an ablation row was trained with other flags
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
         return EXIT_NONFINITE
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except comms.DecodeError as e:
+        print(f"decode error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as e:
         print(str(e), file=sys.stderr)

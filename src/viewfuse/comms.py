@@ -131,8 +131,6 @@ class DetectionMessage:
 class ReconstructedView:
     features: np.ndarray   # (fC, fH, fW) float64, f32-valued
     mask: np.ndarray       # (fH, fW) bool, True where a crop was written
-    agent_id: int
-    view_id: int
 
 
 @dataclass
@@ -302,7 +300,7 @@ def reconstruct_view(messages: list[InstanceMessage],
     feats = np.zeros((fc, fh, fw))
     mask = np.zeros((fh, fw), dtype=bool)
     if not messages:
-        return ReconstructedView(feats, mask, agent_id=-1, view_id=-1)
+        return ReconstructedView(feats, mask)
     j, k = messages[0].agent_id, messages[0].view_id
     for m in messages:
         if (m.agent_id, m.view_id) != (j, k):
@@ -317,7 +315,7 @@ def reconstruct_view(messages: list[InstanceMessage],
                 f"cols {c0}:{c1} of a {dims} map")
         feats[:, r0:r1, c0:c1] = m.payload
         mask[r0:r1, c0:c1] = True
-    return ReconstructedView(feats, mask, agent_id=j, view_id=k)
+    return ReconstructedView(feats, mask)
 
 
 def foreground_mask(messages: list[InstanceMessage], feat_h: int,

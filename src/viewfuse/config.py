@@ -104,12 +104,6 @@ _SECTION_TYPES = {"scene": SceneConfig, "model": ModelConfig,
                   "train": TrainConfig, "eval": EvalConfig}
 
 
-def _field_type(f) -> str:
-    # sections defined in this module carry string annotations, the scene and
-    # model configs carry live classes; compare everything as text
-    return f.type if isinstance(f.type, str) else f.type.__name__
-
-
 def _coerce(value, ftype: str, path: str):
     if ftype == "int":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -140,7 +134,8 @@ def _section_from_dict(cls, d, path: str):
             close = difflib.get_close_matches(k, known, n=1)
             hint = f' (did you mean "{close[0]}"?)' if close else ""
             raise ConfigError(f'unknown config key "{path}.{k}"{hint}')
-        out[k] = _coerce(v, _field_type(known[k]), f"{path}.{k}")
+        # every section's module has postponed annotations: types are text
+        out[k] = _coerce(v, known[k].type, f"{path}.{k}")
     return cls(**out)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,8 +31,8 @@ from .decoder import BoxCodec, DetrDecoder, LossWeights, Predictions, set_loss
 from .geometry import (Pose, apply_pose, apply_pose_noise, camera_in_frame,
                        invert, normalize_angle, relative_pose)
 from .ifa import BevGridSpec, BevView, IfaBlock, ifa_cascade
-from .scene import (GtBox, Instance2D, Scene, agent_visibility,
-                    detect_instances_2d, render_view_features)
+from .scene import (GtBox, Scene, agent_visibility, detect_instances_2d,
+                    render_view_features)
 from .tensor import Adam, Mlp, Tensor
 
 
@@ -200,6 +201,8 @@ def _collab_view(model: PipelineModel, scene: Scene, j: int, k: int,
                  receiver: int):
     """Render, detect, share and rebuild one collaborator view.
 
+    The sent stream is the instance crops, followed by the whole feature map
+    when ``flags.mask`` is off; the crops alone feed query adaptation.
     Returns (BevView | None, shared instance records).
     """
     cfg = scene.cfg
@@ -209,47 +212,31 @@ def _collab_view(model: PipelineModel, scene: Scene, j: int, k: int,
     cam = scene.agents[j].cams[k]
     insts = detect_instances_2d(scene, j, k, mode=detector_mode)
     msgs = select_messages(vf, insts, c_thre)
-    for m in msgs:
+    sent = msgs if flags.mask else msgs + [fullmap_message(vf)]
+    for m in sent:
         ledger.count_instance_message(m, receiver=receiver)
-    dims = (model.cfg.c, cfg.feat_h, cfg.feat_w)
+    if not sent:
+        return None, []
 
-    if flags.mask:
-        if not msgs:
-            return None, []
-        if wire:
-            got = [decode_message(encode_message(m)) for m in msgs]
-            rv = reconstruct_view(got, dims)
-            feats = Tensor(rv.features)
-            mask_arr = rv.mask
-        else:
-            got = msgs
-            mask_arr = foreground_mask(msgs, cfg.feat_h, cfg.feat_w)
-            keep = Tensor(mask_arr[None, :, :].astype(float))
-            feats = vf.features * keep
+    if wire:
+        got = [decode_message(encode_message(m)) for m in sent]
+        # a full map, when sent, is the last message and alone fills the view
+        rv = reconstruct_view(got if flags.mask else got[-1:],
+                              (model.cfg.c, cfg.feat_h, cfg.feat_w))
+        feats, mask_arr = Tensor(rv.features), rv.mask
+        crops = [(m, Tensor(np.asarray(m.payload, dtype=np.float64)))
+                 for m in got[:len(msgs)]]
     else:
-        # unrestricted sharing: the whole map crosses the wire and the
-        # instance stream rides along unchanged for query adaptation
-        fm = fullmap_message(vf)
-        ledger.count_instance_message(fm, receiver=receiver)
-        if wire:
-            got = [decode_message(encode_message(m)) for m in msgs]
-            rv = reconstruct_view([decode_message(encode_message(fm))], dims)
-            feats = Tensor(rv.features)
-            mask_arr = rv.mask
-        else:
-            got = msgs
-            feats = vf.features
-            mask_arr = None
-
-    shared = []
-    for m in got:
-        if wire:
-            crop = Tensor(np.asarray(m.payload, dtype=np.float64))
-        else:
+        feats, mask_arr = vf.features, None
+        if flags.mask:
+            mask_arr = foreground_mask(msgs, cfg.feat_h, cfg.feat_w)
+            feats = feats * Tensor(mask_arr[None, :, :].astype(float))
+        crops = []
+        for m in msgs:
             r0, r1, c0, c1 = crop_bounds(m.box, cfg.feat_w, cfg.feat_h)
-            crop = vf.features[:, r0:r1, c0:c1]
-        shared.append(SharedInstance(message=m, cam=cam,
-                                     agent_pose_in_ego=pose_in_ego, crop=crop))
+            crops.append((m, vf.features[:, r0:r1, c0:c1]))
+    shared = [SharedInstance(message=m, cam=cam, agent_pose_in_ego=pose_in_ego,
+                             crop=crop) for m, crop in crops]
     view = BevView(features=feats, cam=cam, agent_pose_in_ego=pose_in_ego,
                    agent_id=j, view_id=k, valid=True, mask=mask_arr)
     return view, shared
@@ -257,22 +244,15 @@ def _collab_view(model: PipelineModel, scene: Scene, j: int, k: int,
 
 def _adapt_queries(model: PipelineModel, shared: list[SharedInstance],
                    flags: PipelineFlags) -> HybridQueries:
-    if not flags.cdqa or not shared:
-        return HybridQueries(q=model.qtable, n_instance=0,
-                             anchors=model.anchor_grid)
     codec = model.codec
     encoded = []
     inst_anchors: list = []
-    for rec in shared:
+    for rec in (shared if flags.cdqa else []):
         m = rec.message
         q = instance_gap_encode(rec.crop, model.gap)
-        inst = Instance2D(u_min=m.box[0], v_min=m.box[1],
-                          u_max=m.box[2], v_max=m.box[3],
-                          confidence=m.confidence, obj_id=-1,
-                          agent_id=m.agent_id, view_id=m.view_id)
         cam_pose = camera_in_frame(rec.cam, rec.agent_pose_in_ego)
-        q = q + cone_encode(inst, rec.cam, cam_pose, model.cone)
-        ga = ground_anchor(inst, rec.cam, cam_pose)
+        q = q + cone_encode(m.box, rec.cam, cam_pose, model.cone)
+        ga = ground_anchor(m.box, rec.cam, cam_pose)
         if ga is None:
             inst_anchors.append(None)
         else:
@@ -435,18 +415,37 @@ def save_checkpoint(path, model: PipelineModel, opt: Adam | None = None, *,
         f.write(buf.getvalue())
 
 
+# what reading a damaged or foreign file raises: empty (EOFError), truncated
+# or failing its CRC (BadZipFile), not an archive at all (ValueError)
+_UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
+
+
 def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
                     expect_fingerprint: str | None = None,
                     expect_flags: PipelineFlags | None = None) -> dict:
     """Restore parameters in place; returns the stored metadata.
 
     A fingerprint or training flags other than the expected ones raise
-    ``FingerprintError``; ``None`` accepts any.
+    ``FingerprintError``; ``None`` accepts any. A file that cannot be read
+    as a checkpoint raises ``CheckpointError`` naming the path.
     """
-    with np.load(path) as z:
+    try:
+        z = np.load(path)
+    except _UNREADABLE as e:
+        raise CheckpointError(f"{path} is unreadable: {e}") from None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path} holds one array, not an archive")
+
+    def read(key: str) -> np.ndarray:
+        try:
+            return z[key]
+        except _UNREADABLE as e:
+            raise CheckpointError(f"{path}: cannot read {key}: {e}") from None
+
+    with z:
         if "meta" not in z:
             raise CheckpointError(f"{path} has no metadata record")
-        meta = json.loads(bytes(z["meta"].tobytes()).decode("utf-8"))
+        meta = json.loads(bytes(read("meta").tobytes()).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {meta.get('version')} unsupported "
@@ -471,7 +470,7 @@ def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
                 f"parameter set mismatch: missing {missing[:4]}, "
                 f"unexpected {extra[:4]}")
         for k, t in params.items():
-            arr = z[f"param.{k}"]
+            arr = read(f"param.{k}")
             if arr.shape != t.data.shape:
                 raise CheckpointError(
                     f"shape of {k} is {arr.shape}, model wants {t.data.shape}")
@@ -480,7 +479,7 @@ def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
             keys = [k for k in z.files if k.startswith("opt.")]
             if not keys:
                 raise CheckpointError("checkpoint carries no optimizer state")
-            opt.load_state_arrays({k[len("opt."):]: z[k] for k in keys})
+            opt.load_state_arrays({k[len("opt."):]: read(k) for k in keys})
     return meta
 
 

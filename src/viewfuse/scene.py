@@ -286,10 +286,6 @@ def agent_visibility(scene: Scene, agent_idx: int, obj_id: int) -> float:
     return vis / foot if foot else 0.0
 
 
-def ego_visibility(scene: Scene, obj_id: int) -> float:
-    return agent_visibility(scene, 0, obj_id)
-
-
 # ---- rendering ----
 
 
@@ -592,44 +588,45 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 return True
         return False
 
-    def facing_view_ok(c: int, bearing: float) -> bool:
+    def facing_view_ok(c: int, tgt: _Placed) -> bool:
         # ring cameras tile the circle without overlap, so a target is imaged
         # almost entirely by the camera whose sector holds its bearing
         rig = agents[c + 1]
+        bearing = math.atan2(tgt.box.y - rig.pose.y, tgt.box.x - rig.pose.x)
         sector = 2.0 * math.pi / cfg.n_cams
         k = int(round(normalize_angle(bearing - rig.pose.yaw) / sector)) % cfg.n_cams
         return rig.view_valid[k]
 
-    def witness_candidates(tgt: _Placed, extra: list[_Placed]) -> list[int]:
-        out = []
-        for c, cxy in enumerate(collab_xy):
-            bearing = math.atan2(tgt.box.y - cxy[1], tgt.box.x - cxy[0])
-            if not facing_view_ok(c, bearing):
-                continue
-            if any(_blocks(cxy, b, tgt) for b in boxes):
-                continue
-            if any(_blocks(cxy, e, tgt) for e in extra):
-                continue
-            out.append(c)
-        return out
+    def seeing(cands: list[int], t: _Placed, blockers: list[_Placed]) -> list[int]:
+        # the collaborators of ``cands`` that still see t past these blockers
+        return [c for c in cands
+                if not any(_blocks(collab_xy[c], b, t) for b in blockers)]
 
-    def shrunk_clear_sets(extra: list[_Placed]):
-        # None when some protected target would lose its last witness
-        out = []
+    def admit(new: list[_Placed], tgt: _Placed | None) -> bool:
+        """Commit ``new`` (ending in the new target ``tgt``, if any) unless
+        a protected target, new or old, would be left without a witness."""
+        if tgt is not None:
+            facing = [c for c in range(len(collab_xy)) if facing_view_ok(c, tgt)]
+            cs_new = seeing(facing, tgt, boxes + new[:-1])
+            if collab_xy and not cs_new:
+                return False
+        updated = []
         for t, cs in zip(protected, clear_sets):
-            kept = [c for c in cs
-                    if not any(_blocks(collab_xy[c], e, t) for e in extra)]
+            kept = seeing(cs, t, new)
             if collab_xy and not kept:
-                return None
-            out.append(kept)
-        return out
+                return False
+            updated.append(kept)
+        boxes.extend(new)
+        clear_sets[:] = updated
+        if tgt is not None:
+            protected.append(tgt)
+            clear_sets.append(cs_new)
+        return True
 
-    next_id = 0
     occluders: list[_Placed] = []
     placed_targets = 0
     for _t in range(n_occluded):
         need = n_occluded - placed_targets
-        placed = False
         for _attempt in range(400):
             slots = n_obj - len(boxes)
             can_fresh = slots >= need + 1   # a fresh pair costs two box slots
@@ -651,57 +648,36 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 if o_lo + th >= o_hi - th:
                     continue
                 phi = bearing_o + _uniform(rng, o_lo + th, o_hi - th)
-                tgt = _sample_box(rng, next_id, ego_pose.x + dt * math.cos(phi),
+                tgt = _sample_box(rng, len(boxes), ego_pose.x + dt * math.cos(phi),
                                   ego_pose.y + dt * math.sin(phi),
                                   _uniform(rng, -math.pi, math.pi), "car")
                 tgt.box.occluded = True
                 if clashes(tgt) or not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                     continue
-                cs_new = witness_candidates(tgt, [])
-                if collab_xy and not cs_new:
+                if not admit([tgt], tgt):
                     continue
-                updated = shrunk_clear_sets([tgt])
-                if updated is None:
-                    continue
-                boxes.append(tgt)
-                protected.append(tgt)
-                clear_sets[:] = updated
-                clear_sets.append(cs_new)
-                next_id += 1
-                placed = True
+                placed_targets += 1
                 break
             phi = _uniform(rng, -math.pi, math.pi)
             dt = _uniform(rng, 7.0, cfg.range_m - 1.5)
-            tgt = _sample_box(rng, next_id + 1, ego_pose.x + dt * math.cos(phi),
+            tgt = _sample_box(rng, len(boxes) + 1, ego_pose.x + dt * math.cos(phi),
                               ego_pose.y + dt * math.sin(phi),
                               _uniform(rng, -math.pi, math.pi), "car")
             tgt.box.occluded = True
             do = dt * _uniform(rng, 0.30, 0.62)
             if do < 2.4:
                 continue
-            occ = _sample_box(rng, next_id, ego_pose.x + do * math.cos(phi),
+            occ = _sample_box(rng, len(boxes), ego_pose.x + do * math.cos(phi),
                               ego_pose.y + do * math.sin(phi),
                               phi + math.pi / 2.0 + _uniform(rng, -0.25, 0.25), "truck")
             if clashes(occ) or clashes(tgt) or rects_overlap(occ.pts, tgt.pts):
                 continue
             if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                 continue
-            cs_new = witness_candidates(tgt, [occ])
-            if collab_xy and not cs_new:
-                continue
-            updated = shrunk_clear_sets([occ, tgt])
-            if updated is None:
-                continue
-            boxes.extend([occ, tgt])
-            occluders.append(occ)
-            protected.append(tgt)
-            clear_sets[:] = updated
-            clear_sets.append(cs_new)
-            next_id += 2
-            placed = True
-            break
-        if placed:
-            placed_targets += 1
+            if admit([occ, tgt], tgt):
+                occluders.append(occ)
+                placed_targets += 1
+                break
     # tolerate a bounded shortfall: crowded draws may leave no legal spot
     if n_occluded > 0 and placed_targets < max(1, math.ceil(0.8 * n_occluded)):
         return "occlusion target placement failed"
@@ -710,24 +686,17 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
         for _attempt in range(300):
             phi = _uniform(rng, -math.pi, math.pi)
             d = _uniform(rng, 3.0, cfg.range_m - 1.5)
-            box = _sample_box(rng, next_id, ego_pose.x + d * math.cos(phi),
+            box = _sample_box(rng, len(boxes), ego_pose.x + d * math.cos(phi),
                               ego_pose.y + d * math.sin(phi),
                               _uniform(rng, -math.pi, math.pi), "car")
-            if clashes(box):
-                continue
-            updated = shrunk_clear_sets([box])
-            if updated is None:
-                continue
-            boxes.append(box)
-            clear_sets[:] = updated
-            next_id += 1
-            break
+            if not clashes(box) and admit([box], None):
+                break
         else:
             return "free box placement failed"
 
     scene = Scene(seed=seed, cfg=cfg, agents=agents, boxes=[b.box for b in boxes])
     for tgt in protected:
-        if ego_visibility(scene, tgt.box.obj_id) > cfg.occluded_max_vis:
+        if agent_visibility(scene, 0, tgt.box.obj_id) > cfg.occluded_max_vis:
             return "constructed occlusion not confirmed by z-buffer"
         if collab_xy and max(agent_visibility(scene, c, tgt.box.obj_id)
                              for c in range(1, cfg.n_agents)) < cfg.witness_min_vis:

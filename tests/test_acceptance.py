@@ -79,16 +79,14 @@ def _ifa_block_case(rng):
 
 
 def _cdqa_cases(rng):
-    from viewfuse.scene import Instance2D
     from viewfuse.tensor import Mlp
     gap_mlp = Mlp([3, 4, 5], rng, name="gap")
     cone_mlp = Mlp([9, 4, 5], rng, name="cone")
     crop0 = rng.normal(size=(3, 2, 2))
     w_out = rng.normal(size=5)
     u0, v0 = rng.uniform(15.0, 40.0, 2)
-    inst = Instance2D(u_min=u0, v_min=v0, u_max=u0 + rng.uniform(10, 30),
-                      v_max=v0 + rng.uniform(10, 30),
-                      confidence=0.7, obj_id=0, agent_id=1, view_id=0)
+    # u_max is drawn before v_max, so the gradcheck inputs keep their values
+    box = (u0, v0, u0 + rng.uniform(10, 30), v0 + rng.uniform(10, 30))
     cam = CameraModel(fx=50.0, fy=50.0, cx=40.0, cy=40.0, pix_w=80,
                       pix_h=80, feat_w=8, feat_h=8, pose=Pose())
 
@@ -104,7 +102,7 @@ def _cdqa_cases(rng):
     def build_cone(w0, b0, w1, b1):
         cone_mlp.weights = [w0, w1]
         cone_mlp.biases = [b0, b1]
-        return (cone_encode(inst, cam, Pose(x=0.3), cone_mlp)
+        return (cone_encode(box, cam, Pose(x=0.3), cone_mlp)
                 * Tensor(w_out)).sum()
 
     cone_inputs = [cone_mlp.weights[0].data.copy(), cone_mlp.biases[0].data.copy(),

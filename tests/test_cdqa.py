@@ -12,7 +12,6 @@ from viewfuse.cdqa import (
     instance_gap_encode,
 )
 from viewfuse.geometry import CameraModel, Pose, relative_pose
-from viewfuse.scene import Instance2D
 from viewfuse.tensor import Mlp, Tensor
 
 
@@ -22,11 +21,6 @@ def _unit_cam():
                        pix_w=100, pix_h=100, feat_w=100, feat_h=100)
 
 
-def _inst(u0, v0, u1, v1, conf=1.0):
-    return Instance2D(u_min=u0, v_min=v0, u_max=u1, v_max=v1,
-                      confidence=conf, obj_id=0, agent_id=0, view_id=0)
-
-
 def test_descriptor_validation():
     with pytest.raises(ValueError, match="coincide"):
         ConeDescriptor(p1=np.zeros(3), p2=np.zeros(3), c=np.ones(3))
@@ -34,11 +28,11 @@ def test_descriptor_validation():
         ConeDescriptor(p1=np.array([np.inf, 0, 0]), p2=np.zeros(3),
                        c=np.ones(3))
     with pytest.raises(ValueError, match="degenerate"):
-        cone_descriptor(_inst(5.0, 5.0, 5.0, 5.0), _unit_cam(), Pose())
+        cone_descriptor((5.0, 5.0, 5.0, 5.0), _unit_cam(), Pose())
 
 
 def test_descriptor_hand_unprojection():
-    desc = cone_descriptor(_inst(40.0, 40.0, 60.0, 60.0), _unit_cam(), Pose())
+    desc = cone_descriptor((40.0, 40.0, 60.0, 60.0), _unit_cam(), Pose())
     # (40, 40): right = down = (40 - 50)/100 = -0.1 at depth 1; local frame
     # is (forward, left, up) so the corner sits at (1, 0.1, 0.1)
     np.testing.assert_allclose(desc.p1, [1.0, 0.1, 0.1], atol=1e-12)
@@ -47,14 +41,14 @@ def test_descriptor_hand_unprojection():
 
 
 def test_descriptor_symmetric_about_principal_axis():
-    desc = cone_descriptor(_inst(45.0, 45.0, 55.0, 55.0), _unit_cam(), Pose())
+    desc = cone_descriptor((45.0, 45.0, 55.0, 55.0), _unit_cam(), Pose())
     np.testing.assert_allclose(desc.p1[1:], -desc.p2[1:], atol=1e-12)
     np.testing.assert_allclose(desc.p1 + desc.p2, [2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_descriptor_rigid_equivariance():
-    base = cone_descriptor(_inst(30.0, 35.0, 70.0, 80.0), _unit_cam(), Pose())
-    moved = cone_descriptor(_inst(30.0, 35.0, 70.0, 80.0), _unit_cam(),
+    base = cone_descriptor((30.0, 35.0, 70.0, 80.0), _unit_cam(), Pose())
+    moved = cone_descriptor((30.0, 35.0, 70.0, 80.0), _unit_cam(),
                             Pose(x=1.0))
     np.testing.assert_allclose(moved.p1, base.p1 + [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(moved.p2, base.p2 + [1.0, 0.0, 0.0], atol=1e-12)
@@ -65,11 +59,11 @@ def test_descriptor_world_frame_invariant():
     """Only relative poses enter; shifting the world changes nothing."""
     ego_w = Pose(x=3.0, y=-2.0, yaw=0.7)
     cam_w = Pose(x=5.0, y=1.0, z=1.4, yaw=2.0)
-    inst = _inst(20.0, 30.0, 60.0, 70.0)
-    a = cone_descriptor(inst, _unit_cam(), relative_pose(ego_w, cam_w))
+    box = (20.0, 30.0, 60.0, 70.0)
+    a = cone_descriptor(box, _unit_cam(), relative_pose(ego_w, cam_w))
     shift = (1037.0, -412.0)
     b = cone_descriptor(
-        inst, _unit_cam(),
+        box, _unit_cam(),
         relative_pose(Pose(x=ego_w.x + shift[0], y=ego_w.y + shift[1], yaw=0.7),
                       Pose(x=cam_w.x + shift[0], y=cam_w.y + shift[1], z=1.4,
                            yaw=2.0)))
@@ -115,7 +109,7 @@ def test_gap_and_cone_paths_differentiable():
     cone_mlp = Mlp([9, 4, 5], rng, name="cone")
     crop0 = rng.normal(size=(3, 2, 2))
     w_out = rng.normal(size=5)
-    inst = _inst(30.0, 35.0, 70.0, 80.0)
+    box = (30.0, 35.0, 70.0, 80.0)
     cam = _unit_cam()
 
     def build_gap(crop, w0, b0, w1, b1):
@@ -132,7 +126,7 @@ def test_gap_and_cone_paths_differentiable():
     def build_cone(w0, b0, w1, b1):
         cone_mlp.weights = [w0, w1]
         cone_mlp.biases = [b0, b1]
-        return (cone_encode(inst, cam, Pose(x=0.3), cone_mlp)
+        return (cone_encode(box, cam, Pose(x=0.3), cone_mlp)
                 * Tensor(w_out)).sum()
 
     check_scalar_fn(build_cone, [cone_mlp.weights[0].data.copy(),

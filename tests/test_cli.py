@@ -4,6 +4,7 @@ import ast
 import csv
 import json
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,27 @@ def test_eval_exit_codes(trained, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
     assert main(["eval", "--config", str(cp),
                  "--checkpoint", str(tmp_path / "nope.npz")]) == 2
+
+
+def test_unreadable_checkpoint_exits_2_naming_the_path(trained, tmp_path,
+                                                       capsys):
+    cp, run = trained
+    good = (run / "checkpoint.npz").read_bytes()
+    with zipfile.ZipFile(run / "checkpoint.npz") as zf:
+        member = zf.read("param.q0.npy")
+    flipped = bytearray(good)
+    # the last byte of a stored parameter: its CRC fails only when read
+    flipped[good.index(member) + len(member) - 1] ^= 0xFF
+    cases = {"empty.npz": b"", "truncated.npz": good[:len(good) // 2],
+             "flipped.npz": bytes(flipped), "text.npz": b"step,loss\n0,1.5\n",
+             "array.npz": member}
+    for name, blob in cases.items():
+        p = tmp_path / name
+        p.write_bytes(blob)
+        assert main(["eval", "--config", str(cp),
+                     "--checkpoint", str(p)]) == 2, name
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and str(p) in err, name
 
 
 def test_eval_rejects_cdqa_without_ifa(capsys):
@@ -487,6 +509,27 @@ def test_inspect_rejects_unknown_magic(tmp_path, capsys):
     p.write_bytes(b"XXXXGARBAGE")
     assert main(["inspect-message", str(p)]) == 2
     assert "magic" in capsys.readouterr().err
+
+
+def _cut_payload() -> bytes:
+    m = comms.InstanceMessage(
+        agent_id=0, view_id=0, index=0, box=(0.0, 0.0, 2.0, 2.0),
+        confidence=0.5, payload=np.ones((1, 2, 2), dtype=np.float32))
+    return comms.encode_message(m)[:-4]
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"VFMS\x01\x00", id="truncated_header"),
+    pytest.param(_cut_payload(), id="short_payload"),
+    pytest.param(b"VFDT\x02", id="short_detection"),
+])
+def test_inspect_malformed_message_exits_2_naming_the_offset(tmp_path, capsys,
+                                                             blob):
+    p = tmp_path / "m.bin"
+    p.write_bytes(blob)
+    assert main(["inspect-message", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "decode error" in err and f"at byte {len(blob)}" in err
 
 
 def test_show_config_prints_fingerprint(tmp_path, capsys):

@@ -17,6 +17,7 @@ from viewfuse.model import (
     save_checkpoint,
     train_step,
 )
+from viewfuse.comms import INSTANCE_HEADER_BYTES
 from viewfuse.decoder import set_loss
 from viewfuse.geometry import apply_pose, invert
 from viewfuse.scene import generate_scene, truncate_scene
@@ -62,15 +63,18 @@ def test_forward_deterministic(setup):
     assert a.ledger.total_bytes == b.ledger.total_bytes
 
 
-def test_wire_path_matches_training_path(setup):
+@pytest.mark.parametrize("mask", [True, False], ids=["masked", "full_map"])
+def test_wire_path_matches_training_path(setup, mask):
     """f32 quantization is the only difference between the two paths."""
     scene, model = setup
-    tr = model_forward(model, scene, FLAGS_FULL, wire=False)
-    wi = model_forward(model, scene, FLAGS_FULL, wire=True)
+    flags = PipelineFlags(ifa=True, cdqa=True, mask=mask)
+    tr = model_forward(model, scene, flags, wire=False)
+    wi = model_forward(model, scene, flags, wire=True)
     np.testing.assert_allclose(wi.fbev.data, tr.fbev.data,
                                rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(wi.preds.box_vec.data, tr.preds.box_vec.data,
                                rtol=1e-4, atol=1e-5)
+    assert [s.message for s in wi.shared] == [s.message for s in tr.shared]
     # background cells are exactly zero on both paths
     for v_tr, v_wi in zip(tr.views, wi.views):
         if v_tr.mask is None:
@@ -87,7 +91,12 @@ def test_fullmap_flag_shares_more_bytes(setup):
     full = model_forward(model, scene,
                          PipelineFlags(ifa=True, cdqa=True, mask=False),
                          wire=True)
-    assert full.ledger.total_bytes > masked.ledger.total_bytes
+    # one extra message per valid collaborator view: the whole feature map
+    cfg = scene.cfg
+    n_views = sum(sum(rig.view_valid) for rig in scene.agents[1:])
+    fullmap = INSTANCE_HEADER_BYTES + 4 * model.cfg.c * cfg.feat_h * cfg.feat_w
+    assert full.ledger.total_bytes - masked.ledger.total_bytes \
+        == n_views * fullmap
     # the instance set delivered for query adaptation is unchanged
     assert [s.message for s in full.shared] == [s.message for s in masked.shared]
 
