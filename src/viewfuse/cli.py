@@ -9,8 +9,8 @@ are part of the contract so scripts can branch on the failure class:
 
     0  success
     2  invalid config or command line (the message names the field), or
-       an unreadable message (names the byte offset) or checkpoint (names
-       the path)
+       an unreadable message (names the path, or the byte offset where it
+       fails to decode) or checkpoint (names the path)
     3  training hit a non-finite loss
     4  checkpoint fingerprint does not match the config, or a checkpoint
        to resume or to fill an ablation row was trained with other flags
@@ -283,7 +283,11 @@ def _hexdump_rows(buf: bytes, fields, tail=()) -> str:
 
 
 def cmd_inspect_message(args) -> int:
-    buf = Path(args.path).read_bytes()
+    try:
+        buf = Path(args.path).read_bytes()
+    except OSError as e:
+        print(f"cannot read {args.path}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_CONFIG
     if len(buf) < 4:
         print(f"{args.path}: too short to hold a magic number", file=sys.stderr)
         return EXIT_CONFIG

@@ -469,17 +469,24 @@ def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
             raise CheckpointError(
                 f"parameter set mismatch: missing {missing[:4]}, "
                 f"unexpected {extra[:4]}")
+        # read and check everything before writing anything, so a failed
+        # load leaves the model and the optimizer as they were
+        arrays = {k: read(f"param.{k}") for k in params}
         for k, t in params.items():
-            arr = read(f"param.{k}")
-            if arr.shape != t.data.shape:
+            if arrays[k].shape != t.data.shape:
                 raise CheckpointError(
-                    f"shape of {k} is {arr.shape}, model wants {t.data.shape}")
-            t.data = arr.astype(np.float64).copy()
+                    f"shape of {k} is {arrays[k].shape}, model wants {t.data.shape}")
         if opt is not None:
             keys = [k for k in z.files if k.startswith("opt.")]
             if not keys:
                 raise CheckpointError("checkpoint carries no optimizer state")
-            opt.load_state_arrays({k[len("opt."):]: read(k) for k in keys})
+            state = {k[len("opt."):]: read(k) for k in keys}
+            try:
+                opt.load_state_arrays(state)
+            except (KeyError, ValueError, IndexError) as e:
+                raise CheckpointError(f"{path}: bad optimizer state: {e}") from None
+    for k, t in params.items():
+        t.data = arrays[k].astype(np.float64).copy()
     return meta
 
 

@@ -137,6 +137,9 @@ class Scene:
     agents: list[AgentRig]
     boxes: list[GtBox]
     _rasters: dict = field(default_factory=dict, repr=False, compare=False)
+    # every box's corners and centre, built by the first raster of the scene
+    _box_points: np.ndarray | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     @property
     def ego(self) -> AgentRig:
@@ -172,12 +175,15 @@ def truncate_scene(scene: Scene, n_agents: int) -> Scene:
 
 
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Monotone chain; returns CCW hull, tolerates collinear input."""
-    pts = np.unique(np.asarray(pts, dtype=np.float64), axis=0)
+    """Monotone chain; returns CCW hull, tolerates collinear input.
+
+    Duplicates go and the rest sort by (x, y) as ``np.unique(axis=0)``
+    would leave them, but on Python tuples, which is far cheaper for the
+    eight corners of a box.
+    """
+    pts = sorted(set(map(tuple, np.asarray(pts, dtype=np.float64).tolist())))
     if len(pts) <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+        return np.array(pts, dtype=np.float64).reshape(-1, 2)
 
     def half(seq):
         out = []
@@ -189,7 +195,7 @@ def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
                     out.pop()
                 else:
                     break
-            out.append((p[0], p[1]))
+            out.append(p)
         return out
 
     lower = half(pts)
@@ -202,19 +208,22 @@ def _cells_in_hull(hull: np.ndarray, feat_w: int, feat_h: int) -> np.ndarray:
     cover = np.zeros((feat_h, feat_w), dtype=bool)
     if len(hull) < 3:
         return cover
-    u0 = max(0, int(math.ceil(hull[:, 0].min() - 1e-9)))
-    u1 = min(feat_w - 1, int(math.floor(hull[:, 0].max() + 1e-9)))
-    v0 = max(0, int(math.ceil(hull[:, 1].min() - 1e-9)))
-    v1 = min(feat_h - 1, int(math.floor(hull[:, 1].max() + 1e-9)))
+    hull = hull.tolist()
+    us, vs = zip(*hull)
+    u0 = max(0, int(math.ceil(min(us) - 1e-9)))
+    u1 = min(feat_w - 1, int(math.floor(max(us) + 1e-9)))
+    v0 = max(0, int(math.ceil(min(vs) - 1e-9)))
+    v1 = min(feat_h - 1, int(math.floor(max(vs) + 1e-9)))
     if u1 < u0 or v1 < v0:
         return cover
-    uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-    inside = np.ones(uu.shape, dtype=bool)
+    u = np.arange(u0, u1 + 1)
+    v = np.arange(v0, v1 + 1)[:, None]
+    inside = np.ones((v1 - v0 + 1, u1 - u0 + 1), dtype=bool)
     n = len(hull)
     for i in range(n):
         ax, ay = hull[i]
         bx, by = hull[(i + 1) % n]
-        inside &= (bx - ax) * (vv - ay) - (by - ay) * (uu - ax) >= -1e-9
+        inside &= (bx - ax) * (v - ay) - (by - ay) * (u - ax) >= -1e-9
     cover[v0:v1 + 1, u0:u1 + 1] = inside
     return cover
 
@@ -233,42 +242,60 @@ class ViewRaster:
     boxes: dict[int, BoxRaster]
 
 
+def _box_points(scene: Scene) -> np.ndarray:
+    """[n_boxes, 9, 3]: each box's 8 corners, then its centre. Cached."""
+    if scene._box_points is None:
+        pts = np.empty((len(scene.boxes), 9, 3))
+        for bi, box in enumerate(scene.boxes):
+            pts[bi, :8] = box.corners_3d()
+            pts[bi, 8] = (box.x, box.y, box.z)
+        scene._box_points = pts
+    return scene._box_points
+
+
 def rasterize_view(scene: Scene, agent_idx: int, view_idx: int) -> ViewRaster:
-    """Silhouette + center-depth z-buffer raster for one camera view. Cached."""
+    """Silhouette + center-depth z-buffer raster for one camera view. Cached.
+
+    One ``project_points`` call maps every box's corners and centre. A box
+    with a corner at depth <= ``NEAR_EPS`` straddles the focal plane and is
+    not imaged. Any other box covers the lattice points inside the convex
+    hull of its projected corners, and owns each covered cell where its
+    centre depth is below every earlier box's (ties go to the earlier box).
+    ``footprint`` counts covered cells, ``visible`` the cells owned at the
+    end, and ``bbox`` is the corners' extent clipped to the lattice.
+    """
     key = (agent_idx, view_idx)
     hit = scene._rasters.get(key)
     if hit is not None:
         return hit
     cfg = scene.cfg
     rig = scene.agents[agent_idx]
-    cam = rig.cams[view_idx]
     owner = np.full((cfg.feat_h, cfg.feat_w), -1, dtype=np.int16)
-    depth_buf = np.full((cfg.feat_h, cfg.feat_w), np.inf)
     boxes: dict[int, BoxRaster] = {}
     if rig.view_valid[view_idx]:
-        for bi, box in enumerate(scene.boxes):
-            uv, depth, _ = project_points(box.corners_3d(), cam, rig.pose)
-            if np.any(depth <= NEAR_EPS):
-                continue   # straddles the focal plane; treat as not imaged
-            hull = convex_hull_2d(uv)
-            cover = _cells_in_hull(hull, cfg.feat_w, cfg.feat_h)
+        uv, depth, _ = project_points(_box_points(scene), rig.cams[view_idx], rig.pose)
+        corners = uv[:, :8]
+        imaged = np.flatnonzero(~np.any(depth[:, :8] <= NEAR_EPS, axis=1)).tolist()
+        extent = (cfg.feat_w, cfg.feat_h)
+        lo = np.clip(corners.min(axis=1), 0.0, extent).tolist()
+        hi = np.clip(corners.max(axis=1), 0.0, extent).tolist()
+        center_depth = depth[:, 8].tolist()
+        depth_buf = np.full((cfg.feat_h, cfg.feat_w), np.inf)
+        for bi in imaged:
+            cover = _cells_in_hull(convex_hull_2d(corners[bi]), cfg.feat_w, cfg.feat_h)
             n_cover = int(cover.sum())
             if n_cover == 0:
                 continue
-            center = np.array([[box.x, box.y, box.z]])
-            _, cdepth, _ = project_points(center, cam, rig.pose)
-            d = float(cdepth[0])
-            bbox = (float(np.clip(uv[:, 0].min(), 0.0, cfg.feat_w)),
-                    float(np.clip(uv[:, 1].min(), 0.0, cfg.feat_h)),
-                    float(np.clip(uv[:, 0].max(), 0.0, cfg.feat_w)),
-                    float(np.clip(uv[:, 1].max(), 0.0, cfg.feat_h)))
-            boxes[box.obj_id] = BoxRaster(footprint=n_cover, visible=0, bbox=bbox, depth=d)
+            d = center_depth[bi]
+            boxes[scene.boxes[bi].obj_id] = BoxRaster(
+                footprint=n_cover, visible=0, bbox=(*lo[bi], *hi[bi]), depth=d)
             takes = cover & (d < depth_buf)
             owner[takes] = bi
             depth_buf[takes] = d
+        counts = np.bincount(owner.ravel() + 1, minlength=len(scene.boxes) + 1)
         for bi, box in enumerate(scene.boxes):
             if box.obj_id in boxes:
-                boxes[box.obj_id].visible = int((owner == bi).sum())
+                boxes[box.obj_id].visible = int(counts[bi + 1])
     raster = ViewRaster(owner=owner, boxes=boxes)
     scene._rasters[key] = raster
     return raster

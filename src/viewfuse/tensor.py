@@ -696,7 +696,13 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["adam.t"][0])
-        for name in sorted(self.params):
-            self.m[name] = _arr(arrays[f"adam.m.{name}"]).reshape(self.m[name].shape).copy()
-            self.v[name] = _arr(arrays[f"adam.v.{name}"]).reshape(self.v[name].shape).copy()
+        """All or nothing: a missing or misshapen array raises before any
+        state changes."""
+        t = int(arrays["adam.t"][0])
+        m = {name: _arr(arrays[f"adam.m.{name}"]).reshape(self.m[name].shape).copy()
+             for name in self.params}
+        v = {name: _arr(arrays[f"adam.v.{name}"]).reshape(self.v[name].shape).copy()
+             for name in self.params}
+        self.t = t
+        self.m.update(m)
+        self.v.update(v)

@@ -532,6 +532,15 @@ def test_inspect_malformed_message_exits_2_naming_the_offset(tmp_path, capsys,
     assert "decode error" in err and f"at byte {len(blob)}" in err
 
 
+def test_inspect_unreadable_path_exits_2_naming_it(tmp_path, capsys):
+    # a directory or a missing file is an unreadable message, not a crash
+    for path in (tmp_path, tmp_path / "missing.bin"):
+        assert main(["inspect-message", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {path}: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
 def test_show_config_prints_fingerprint(tmp_path, capsys):
     d = cfg_dict(tmp_path / "x")
     cp = write_cfg(tmp_path, "c.json", d)

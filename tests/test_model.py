@@ -1,5 +1,6 @@
 """Pipeline assembly: forward paths, training step, checkpoints."""
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -274,3 +275,46 @@ def test_checkpoint_errors(tmp_path, setup):
                           np.random.default_rng(4))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, other)
+
+
+def _state(model, opt):
+    return ({k: t.data.tobytes() for k, t in model.params().items()},
+            {k: a.tobytes() for k, a in opt.m.items()},
+            {k: a.tobytes() for k, a in opt.v.items()}, opt.t)
+
+
+@pytest.mark.parametrize("damage,match", [("flipped_byte", "qtable"),
+                                          ("wrong_shape", "qtable"),
+                                          ("wrong_adam_shape", "optimizer state")])
+def test_failed_checkpoint_load_changes_nothing(tmp_path, setup, damage, match):
+    scene, _ = setup
+    src = PipelineModel(small_model_cfg(), np.random.default_rng(21))
+    src_opt = Adam(src.params(), lr=2e-3)
+    train_step([scene], src, src_opt)
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, src, src_opt)
+    last = list(src.params())[-1]
+    assert last == "qtable"   # read last of all parameters
+    if damage == "flipped_byte":
+        good = path.read_bytes()
+        with zipfile.ZipFile(path) as zf:
+            member = zf.read(f"param.{last}.npy")
+        bad = bytearray(good)
+        # the member's last data byte: its CRC fails only when it is read
+        bad[good.index(member) + len(member) - 1] ^= 0xFF
+        path.write_bytes(bytes(bad))
+    else:
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        key = f"param.{last}" if damage == "wrong_shape" else f"opt.adam.m.{last}"
+        arrays[key] = arrays[key][:-1]
+        np.savez(path, **arrays)
+
+    dst = PipelineModel(small_model_cfg(), np.random.default_rng(22))
+    dst_opt = Adam(dst.params(), lr=2e-3)
+    train_step([scene], dst, dst_opt)
+    before = _state(dst, dst_opt)
+    assert before[0] != _state(src, src_opt)[0]
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path, dst, dst_opt)
+    assert _state(dst, dst_opt) == before

@@ -117,6 +117,21 @@ def test_convex_hull_square_and_collinear():
     assert cover[1, 1] and cover[2, 3] and not cover[0, 0]
 
 
+@pytest.mark.parametrize("pts,want", [
+    pytest.param([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [3.0, 0.5], [0.0, 0.0], [2.0, 3.0]],
+                 [[0.0, 0.0], [3.0, 0.5], [2.0, 3.0], [1.0, 2.0]], id="duplicates"),
+    pytest.param([[1.5, -2.0]] * 5, [[1.5, -2.0]], id="one_point_repeated"),
+    pytest.param([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [0.0, 2.0]],
+                 [[0.0, 2.0], [1.0, 1.0]], id="two_points"),
+])
+def test_convex_hull_drops_duplicates_and_sorts_degenerate_input(pts, want):
+    # the vertices and their order are those of np.unique(axis=0) + lexsort
+    hull = convex_hull_2d(np.array(pts))
+    assert isinstance(hull, np.ndarray) and hull.dtype == np.float64
+    assert hull.shape == (len(want), 2)
+    assert hull.tolist() == want
+
+
 # ---- hand-placed rasters ----
 
 
@@ -410,6 +425,44 @@ DEFAULT_SCENE_SHA256 = {
 def test_default_scene_bytes(seed):
     blob = json.dumps(scene_to_dict(generate_scene(SceneConfig(), seed)), sort_keys=True)
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == DEFAULT_SCENE_SHA256[seed]
+
+
+# sha256 over every view raster, in (agent, view) order: owner.tobytes(),
+# then per box (obj_id, footprint, visible) and the float.hex of its bbox
+# and depth. Recorded from the per-box rasterizer before it was batched;
+# any rasterizer change must keep them. Missing-view seed 6 has invalid
+# views on both collaborators.
+RASTER_CFGS = {"default": SceneConfig(),
+               "3_agents_missing_views": SceneConfig(n_agents=3, missing_view_prob=0.2)}
+DEFAULT_RASTER_SHA256 = {
+    ("default", 1001): "15b397a8adf14562d27983dab424ae2cab1fd356afdb2dddd92616d9613f31d8",
+    ("default", 1002): "be807dc422c0777f8ed85ece2bc220bd34be7f902d1af3291273213da1bf113f",
+    ("default", 1003): "40c4fdda06ea442140b8e7644a31831fe96ef876bc0e8c4f6e2a1aa534f6fc9e",
+    ("default", 1040): "b893274abf5148ad3fb660c80e49ea53156a2145998b6f660b559f491ef47e10",
+    ("3_agents_missing_views", 6):
+        "081224cfc5b092e80ad5fd8dfbfb727636942fca04c406f8f26aae4460672cf0",
+}
+
+
+@pytest.mark.parametrize("cfg_name,seed", sorted(DEFAULT_RASTER_SHA256))
+def test_default_raster_bytes(cfg_name, seed):
+    scene = generate_scene(RASTER_CFGS[cfg_name], seed)
+    h = hashlib.sha256()
+    for a, rig in enumerate(scene.agents):
+        for k in range(len(rig.cams)):
+            r = rasterize_view(scene, a, k)
+            h.update(r.owner.tobytes())
+            for oid, br in r.boxes.items():
+                h.update(repr((oid, br.footprint, br.visible)).encode())
+                h.update(" ".join(float.hex(c) for c in (*br.bbox, br.depth)).encode())
+    assert h.hexdigest() == DEFAULT_RASTER_SHA256[(cfg_name, seed)]
+
+
+def test_raster_cache_holds_only_views():
+    # the box-point array the rasterizer reuses is kept apart from the
+    # per-view cache, whose size counts cached views
+    scene = generate_scene(SceneConfig(), 1002)
+    assert set(scene._rasters) == {(a, k) for a in range(2) for k in range(4)}
 
 
 def _bits(v: float) -> bytes:
