@@ -2,9 +2,12 @@
 
 Queries self-attend, sample the BEV map around a per-query reference point
 that each layer refines, and end in a class logit plus a normalized box
-vector. Training matches predictions to ground truth one-to-one with the
-Hungarian algorithm and applies focal classification plus l1 regression.
-No NMS anywhere in this path; duplicates are the matcher's problem.
+vector. Training matches predictions to ground truth one-to-one and
+applies focal classification plus l1 regression. The matcher solves the
+linear assignment problem with the shortest-augmenting-path algorithm of
+Crouse (IEEE TAES 2016), ported from scipy's ``rectangular_lsap`` with its
+tie-breaks, so scipy.optimize is not imported. No NMS anywhere in this
+path; duplicates are the matcher's problem.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ifa import BevGridSpec, _ring_bias, deformable_attention
 from .scene import GtBox
@@ -94,11 +96,75 @@ class MatchResult:
             raise ValueError("query listed as both matched and unmatched")
 
 
+def _shortest_augmenting_paths(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-cost assignment of a finite cost matrix as (row, col) pairs.
+
+    The shortest-augmenting-path algorithm of Crouse, "On implementing 2D
+    rectangular assignment algorithms" (IEEE TAES 2016), step for step as
+    scipy's ``linear_sum_assignment`` runs it, so that among equal-cost
+    assignments it picks the same one: a tall matrix is transposed; each
+    path scans the free columns in the order of a list filled in reverse
+    and shrunk by swapping the last one in; reduced costs are
+    ``min_val + c - u[i] - v[j]``, left to right; among the columns at the
+    lowest cost it takes the last unassigned one in scan order, else the
+    first.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    c = cost.T if transpose else cost
+    nr, nc = c.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    path = np.full(nc, -1)
+    col4row, row4col = np.full(nr, -1), np.full(nc, -1)
+    for cur in range(nr):
+        remaining = np.arange(nc - 1, -1, -1)
+        n_left = nc
+        spc = np.full(nc, np.inf)          # shortest path cost per column
+        sr, sc = np.zeros(nr, bool), np.zeros(nc, bool)
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            sr[i] = True
+            js = remaining[:n_left]
+            r = min_val + c[i, js] - u[i] - v[js]
+            better = r < spc[js]
+            upd = js[better]
+            path[upd] = i
+            spc[upd] = r[better]
+            s = spc[js]
+            ties = np.flatnonzero(s == s.min())
+            free = ties[row4col[js[ties]] < 0]
+            index = free[-1] if free.size else ties[0]
+            min_val = s[index]
+            j = js[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            sc[j] = True
+            n_left -= 1
+            remaining[index] = remaining[n_left]
+        # dual update, then flip the path's assignments
+        u[cur] += min_val
+        sr[cur] = False
+        u[sr] += min_val - spc[col4row[sr]]
+        v[sc] -= min_val - spc[sc]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = zip(range(nr), col4row.tolist())
+    return [(q, g) for g, q in pairs] if transpose else list(pairs)
+
+
 def hungarian_match(cost: np.ndarray) -> MatchResult:
     """Minimum-cost one-to-one assignment of min(rows, cols) pairs.
 
     Rows are queries and columns GT boxes; either may be the longer side.
-    Pairs come sorted by column.
+    Pairs come sorted by column. Ties between equal-cost assignments break
+    as in scipy's ``linear_sum_assignment`` (see
+    ``_shortest_augmenting_paths``).
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -106,8 +172,7 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     n_q = cost.shape[0]
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    pairs = sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
+    pairs = sorted(_shortest_augmenting_paths(cost), key=lambda p: p[1])
     matched = {q for q, _ in pairs}
     return MatchResult(pairs=pairs,
                        unmatched_queries=[q for q in range(n_q)

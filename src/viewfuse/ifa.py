@@ -207,8 +207,10 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
         if seen else None
     # a stable sort keeps each row's columns, its views, in sorted order
     rows = height * refs.shape[1] + cell
-    v_sum = csr_matrix((np.ones(rows.size), np.argsort(rows, kind="stable"),
-                        np.concatenate([[0], np.cumsum(v_cnt.ravel())])),
+    v_sum = csr_matrix((np.ones(rows.size),
+                        np.argsort(rows, kind="stable").astype(np.int32),
+                        np.concatenate([np.zeros(1, np.int32),
+                                        np.cumsum(v_cnt.ravel(), dtype=np.int32)])),
                        shape=(v_cnt.size, rows.size))
     v_inv = np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0)
     h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)

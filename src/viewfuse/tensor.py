@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every op builds a node holding numpy data plus a vector-Jacobian closure.
-``backward`` walks the graph in reverse topological order and accumulates
-gradients into ``.grad`` on every reachable tensor that requires them.
-Gradient flow inside a single backward pass uses a scratch map, so calling
-``backward`` twice on the same graph adds the same gradient twice (no
-stale-state coupling between passes).
+``backward`` walks the graph in reverse topological order. Gradient flow
+inside a single backward pass uses a scratch map, so calling ``backward``
+twice on the same graph adds the same gradient twice (no stale-state
+coupling between passes). Only leaves keep a gradient: the pass adds into
+``.grad`` of every reachable leaf that requires one, a tensor the caller
+built rather than an op's output. An op's output keeps ``grad is None``,
+and its gradient is dropped once passed on to the op's inputs.
 
 ``.grad`` arrays are read-only by contract and may share memory: the two
 operands of ``a + b`` get the same array. Replace a gradient, never write
@@ -273,7 +275,7 @@ class Tensor:
     # ---- backward ----
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into ``.grad`` over the whole graph.
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf.
 
         The root must be scalar (any shape with exactly one element).
         """
@@ -301,9 +303,9 @@ class Tensor:
             g = flow.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for p, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not p.requires_grad:
@@ -355,7 +357,8 @@ class Rows:
         if self._scatter is None or self._scatter.shape[0] != n:
             m = self.idx.size
             self._scatter = csr_matrix(
-                (np.ones(m), self.idx, np.arange(m + 1)), shape=(m, n)).T
+                (np.ones(m), self.idx.astype(np.int32),
+                 np.arange(m + 1, dtype=np.int32)), shape=(m, n)).T
         return self._scatter
 
 
@@ -517,16 +520,20 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     for j, (iu, iv) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         np.logical_and(u_in[iu], v_in[iv], out=ok[:, j])
         np.multiply(wu[iu], wv[iv], out=corner[:, j])
-    base = (view * h + v0) * w + u0
-    cols = base[:, None] + np.array([0, 1, w, w + 1])
+    # int32 indices, as scipy stores them; a corner off the lattice may wrap
+    # here, but ``ok`` zeroes it
+    base = ((view * h + v0) * w + u0).astype(np.int32)
+    cols = base[:, None] + np.array([0, 1, w, w + 1], dtype=np.int32)
     cols *= ok
     cols = cols.ravel()
-    a = csr_matrix((corner.ravel(), cols, np.arange(0, 4 * n + 1, 4)),
+    a = csr_matrix((corner.ravel(), cols,
+                    np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
                    shape=(n, flat.shape[0]))
     out = a @ flat
     if weights is not None:
         # row m of ``rowsum`` holds its K weights at columns m*K .. m*K+K-1
-        rowsum = csr_matrix((wts.data.ravel(), np.arange(n), k * np.arange(m + 1)),
+        rowsum = csr_matrix((wts.data.ravel(), np.arange(n, dtype=np.int32),
+                             k * np.arange(m + 1, dtype=np.int32)),
                             shape=(m, n))
         out = rowsum @ out
 
@@ -534,7 +541,7 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
         gmap = gp = gw = None
         if fmap.requires_grad:
             bw = csr_matrix(((corner * wts.data.reshape(n, 1)).ravel(), cols,
-                             np.arange(0, 4 * n + 1, 4 * k)),
+                             np.arange(0, 4 * n + 1, 4 * k, dtype=np.int32)),
                             shape=(m, flat.shape[0]))
             gmap = (bw.T @ g).reshape(n_v, h * w, c).transpose(0, 2, 1)
             gmap = gmap.reshape(fmap.shape)

@@ -3,7 +3,10 @@
 import ast
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -605,3 +608,16 @@ def test_scripts_call_only_known_subcommands(capsys):
         for opt in options:
             assert re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", usage), \
                 f"{where}: {sub} has no option {opt}"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the matcher is in-repo: scipy.optimize would add ~27 MB of RSS and
+    # ~0.2 s to every process that imports viewfuse
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, viewfuse.cli; "
+            "print('viewfuse.decoder' in sys.modules, "
+            "'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["True", "False"]

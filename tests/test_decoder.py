@@ -4,8 +4,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from gradcheck import check_scalar_fn
+from viewfuse import decoder
 from viewfuse.decoder import (
     BoxCodec,
     DetrDecoder,
@@ -18,7 +20,9 @@ from viewfuse.decoder import (
     set_loss,
 )
 from viewfuse.ifa import BevGridSpec
-from viewfuse.scene import GtBox
+from viewfuse.model import (ModelConfig, ego_frame_targets, init_model,
+                            model_forward)
+from viewfuse.scene import GtBox, SceneConfig, generate_scene
 from viewfuse.tensor import Tensor, focal_loss, BACKGROUND
 
 
@@ -76,6 +80,43 @@ def test_match_equals_brute_force():
         assert abs(total - best) < 1e-12
         assert len(got.pairs) == n_gt
         assert len(got.unmatched_queries) == n_q - n_gt
+
+
+def _scipy_pairs(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
+
+
+def test_match_breaks_ties_as_scipy():
+    # scipy is the reference here: which of several equal-cost assignments
+    # wins decides the training targets at init, where costs tie to ~1e-15
+    rng = np.random.default_rng(11)
+    kinds = (lambda s: rng.normal(size=s),
+             lambda s: np.round(rng.normal(size=s), 1),
+             lambda s: np.full(s, 0.3),
+             lambda s: rng.integers(0, 3, s).astype(float),
+             lambda s: 0.7 + 1e-15 * rng.normal(size=s))
+    for i in range(2000):
+        shape = (int(rng.integers(1, 70)), int(rng.integers(1, 20)))
+        cost = kinds[i % 5](shape if i % 2 else shape[::-1])
+        assert hungarian_match(cost).pairs == _scipy_pairs(cost), (i, shape)
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert hungarian_match(np.zeros(shape)).pairs == []
+
+
+def test_match_at_init_equals_scipy(monkeypatch):
+    costs = []
+    real = decoder.hungarian_match
+    monkeypatch.setattr(decoder, "hungarian_match",
+                        lambda c: costs.append(c) or real(c))
+    model = init_model(ModelConfig(), 0)
+    scene = generate_scene(SceneConfig(), 1000)
+    fr = model_forward(model, scene, wire=False)
+    match_predictions(fr.preds, ego_frame_targets(scene, model.spec),
+                      model.codec, model.weights)
+    (cost,) = costs
+    assert cost.shape[0] == 64 and cost.shape[1] > 1
+    assert real(cost).pairs == _scipy_pairs(cost)
 
 
 # ---- codec ----
