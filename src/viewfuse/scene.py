@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import (
     NEAR_EPS, CameraModel, Pose, normalize_angle, project_points, rect_corners,
-    rects_overlap,
+    rects_overlap, rects_overlap_by_centres,
 )
 from .tensor import Mlp, Tensor
 
@@ -449,32 +449,41 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _agent_rect(pose: Pose) -> list:
-    return rect_corners(pose.x, pose.y, AGENT_CLEAR_W, AGENT_CLEAR_L, pose.yaw).tolist()
-
-
 # a centre distance this far inside the sum of the inscribed radii is a clash
 # without the overlap test: the inscribed discs then share a lens of area
-# ~4e-5 m^2 or more, far above the 1e-12 of ``rects_overlap``'s clip
+# ~4e-5 m^2 or more, far above the 1e-12 of ``rects_overlap``'s clip. It is
+# the second link of the chain in ``_Placed``.
 DEEP_OVERLAP = 1e-3
 
 
 class _Placed:
-    """A box under placement, with its radii and, once read, its corners.
+    """A box under placement: its radii, its centre rectangle and, once
+    read, its corners.
 
-    ``radius`` (circumscribed) and ``inner`` (inscribed, half the shorter
-    side) bound the box by discs; ``clashes`` decides most pairs from them.
-    ``pts``, the ``rect_corners`` output as Python floats, feeds
-    ``rects_overlap`` and the bearing spans. It is computed the first time
-    it is read, so the candidates the discs settle never pay for it.
+    Whether two footprints share area is decided by the first link of this
+    chain that settles it; each later link costs more:
+
+    1. centres farther apart than the sum of the circumscribed ``radius``:
+       apart;
+    2. closer than the sum of the inscribed ``inner`` (half the shorter
+       side) less ``DEEP_OVERLAP``: overlapping;
+    3. ``rects_overlap_by_centres`` on ``rect`` (centre, size, cos and sin
+       of the yaw): the separating-axis bands, read from the centres;
+    4. ``rects_overlap`` on ``pts``: the same bands from the corners, then
+       the clip.
+
+    ``pts``, the ``rect_corners`` output as Python floats, also feeds the
+    bearing spans. It is computed the first time it is read, so the pairs
+    the first three links settle never pay for it.
     """
 
-    __slots__ = ("box", "radius", "inner", "_pts")
+    __slots__ = ("box", "radius", "inner", "rect", "_pts")
 
     def __init__(self, box: GtBox):
         self.box = box
         self.radius = math.hypot(box.w, box.l) / 2.0
         self.inner = min(box.w, box.l) / 2.0
+        self.rect = (box.x, box.y, box.w, box.l, math.cos(box.yaw), math.sin(box.yaw))
         self._pts = None
 
     @property
@@ -482,6 +491,18 @@ class _Placed:
         if self._pts is None:
             self._pts = self.box.corners_bev().tolist()
         return self._pts
+
+
+def _agent_clearance(pose: Pose) -> _Placed:
+    """The rectangle around an agent that no box or other agent may enter."""
+    return _Placed(GtBox(obj_id=-1, x=pose.x, y=pose.y, z=0.0, w=AGENT_CLEAR_W,
+                         l=AGENT_CLEAR_L, h=0.0, yaw=pose.yaw))
+
+
+def _overlaps(a: _Placed, b: _Placed) -> bool:
+    """``rects_overlap(a.pts, b.pts)``, from the centres where they settle it."""
+    hit = rects_overlap_by_centres(a.rect, b.rect)
+    return rects_overlap(a.pts, b.pts) if hit is None else hit
 
 
 def _sample_box(rng, obj_id, x, y, yaw, kind) -> _Placed:
@@ -503,21 +524,38 @@ def _bearing_span(origin: tuple[float, float], corners, ref: float):
 BLOCK_MIN_OVERLAP = 0.45
 
 
-def _blocks(origin: tuple[float, float], blocker: _Placed,
-            target: _Placed) -> bool:
-    """Approximate: does ``blocker`` shadow ``target`` seen from ``origin``?"""
-    b, t = blocker.box, target.box
-    dt = math.hypot(t.x - origin[0], t.y - origin[1])
+class _Sight:
+    """``target`` seen from ``origin``: its distance, its bearing and, once
+    read, its bearing span about that bearing."""
+
+    __slots__ = ("origin", "target", "dist", "ref", "_span")
+
+    def __init__(self, origin: tuple[float, float], target: _Placed):
+        t = target.box
+        self.origin, self.target = origin, target
+        self.dist = math.hypot(t.x - origin[0], t.y - origin[1])
+        self.ref = math.atan2(t.y - origin[1], t.x - origin[0])
+        self._span = None
+
+    @property
+    def span(self) -> tuple[float, float]:
+        if self._span is None:
+            self._span = _bearing_span(self.origin, self.target.pts, self.ref)
+        return self._span
+
+
+def _blocks(sight: _Sight, blocker: _Placed) -> bool:
+    """Approximate: does ``blocker`` shadow the target of ``sight``?"""
+    origin, b, dt, ref = sight.origin, blocker.box, sight.dist, sight.ref
     db = math.hypot(b.x - origin[0], b.y - origin[1])
     if db >= dt or db < 1e-9:
         return False
-    ref = math.atan2(t.y - origin[1], t.x - origin[0])
     rel_c = normalize_angle(math.atan2(b.y - origin[1], b.x - origin[0]) - ref)
-    reach = (math.asin(min(1.0, target.radius / dt))
+    reach = (math.asin(min(1.0, sight.target.radius / dt))
              + math.asin(min(1.0, blocker.radius / db)))
     if abs(rel_c) > reach:
         return False
-    t_lo, t_hi = _bearing_span(origin, target.pts, ref)
+    t_lo, t_hi = sight.span
     b_lo, b_hi = _bearing_span(origin, blocker.pts, ref)
     inter = min(t_hi, b_hi) - max(t_lo, b_lo)
     width = t_hi - t_lo
@@ -561,7 +599,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     ego_pose = Pose(_snap(_uniform(rng, -4.0, 4.0)), _snap(_uniform(rng, -4.0, 4.0)),
                     0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
     agent_poses = [ego_pose]
-    agent_rects = [_agent_rect(ego_pose)]
+    clearances = [_agent_clearance(ego_pose)]
     for _ in range(cfg.n_agents - 1):
         for _attempt in range(60):
             d = _uniform(rng, 5.0, 11.0)
@@ -569,10 +607,10 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             pose = Pose(_snap(ego_pose.x + d * math.cos(phi)),
                         _snap(ego_pose.y + d * math.sin(phi)),
                         0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
-            rect = _agent_rect(pose)
-            if all(not rects_overlap(rect, arect) for arect in agent_rects):
+            clearance = _agent_clearance(pose)
+            if not any(_overlaps(clearance, other) for other in clearances):
                 agent_poses.append(pose)
-                agent_rects.append(rect)
+                clearances.append(clearance)
                 break
         else:
             return "agent placement failed"
@@ -593,8 +631,6 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     n_occluded = round(cfg.occluded_fraction * n_obj)
     if n_occluded > 0 and cfg.range_m - 1.5 <= 7.2:
         return "range too small for occlusion pairs"
-    agent_radius = math.hypot(AGENT_CLEAR_W, AGENT_CLEAR_L) / 2.0
-    agent_inner = min(AGENT_CLEAR_W, AGENT_CLEAR_L) / 2.0
 
     boxes: list[_Placed] = []
     protected: list[_Placed] = []
@@ -602,17 +638,14 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     clear_sets: list[list[int]] = []
 
     def clashes(cand: _Placed) -> bool:
+        # the chain of ``_Placed``, its first two links inline
         x, y, r, inner = cand.box.x, cand.box.y, cand.radius, cand.inner
-        for p, arect in zip(agent_poses, agent_rects):
-            d = math.hypot(x - p.x, y - p.y)
-            if d <= r + agent_radius and (d < inner + agent_inner - DEEP_OVERLAP
-                                          or rects_overlap(cand.pts, arect)):
-                return True
-        for b in boxes:
-            d = math.hypot(x - b.box.x, y - b.box.y)
-            if d <= r + b.radius and (d < inner + b.inner - DEEP_OVERLAP
-                                      or rects_overlap(cand.pts, b.pts)):
-                return True
+        for others in (clearances, boxes):
+            for b in others:
+                d = math.hypot(x - b.box.x, y - b.box.y)
+                if d <= r + b.radius and (d < inner + b.inner - DEEP_OVERLAP
+                                          or _overlaps(cand, b)):
+                    return True
         return False
 
     def facing_view_ok(c: int, tgt: _Placed) -> bool:
@@ -626,8 +659,12 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
 
     def seeing(cands: list[int], t: _Placed, blockers: list[_Placed]) -> list[int]:
         # the collaborators of ``cands`` that still see t past these blockers
-        return [c for c in cands
-                if not any(_blocks(collab_xy[c], b, t) for b in blockers)]
+        out = []
+        for c in cands:
+            sight = _Sight(collab_xy[c], t)
+            if not any(_blocks(sight, b) for b in blockers):
+                out.append(c)
+        return out
 
     def admit(new: list[_Placed], tgt: _Placed | None) -> bool:
         """Commit ``new`` (ending in the new target ``tgt``, if any) unless
@@ -697,7 +734,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             occ = _sample_box(rng, len(boxes), ego_pose.x + do * math.cos(phi),
                               ego_pose.y + do * math.sin(phi),
                               phi + math.pi / 2.0 + _uniform(rng, -0.25, 0.25), "truck")
-            if clashes(occ) or clashes(tgt) or rects_overlap(occ.pts, tgt.pts):
+            if clashes(occ) or clashes(tgt) or _overlaps(occ, tgt):
                 continue
             if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                 continue

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from viewfuse.geometry import (
     CameraModel, Pose, apply_pose, apply_pose_noise, camera_in_frame,
     clip_convex, compose, invert, normalize_angle, polygon_area,
-    project_points, rect_corners, rects_overlap,
+    project_points, rect_corners, rects_overlap, rects_overlap_by_centres,
     relative_pose, unproject_feature_to_optical, optical_to_local,
+    SAT_DEPTH, SAT_GAP,
 )
 from viewfuse.scene import DEEP_OVERLAP, POS_SNAP, YAW_SNAP, _snap
 
@@ -393,3 +394,97 @@ def test_deep_overlap_rule_implies_the_clip_predicate():
         assert _clip_overlap(a, b) and _clip_overlap(b, a), (i, d, bound)
         assert rects_overlap(a.tolist(), b.tolist()), (i, d, bound)
     assert n_deep > 3000
+
+
+# ---- the centre test against the clip ----
+
+def _centre_rect(x, y, w, l, yaw):
+    return (x, y, w, l, math.cos(yaw), math.sin(yaw))
+
+
+def _band_margin(a, b, sizes) -> float:
+    """How far (m) the pair lies inside ``rects_overlap``'s nearer band.
+
+    Positive inside the gap band (a gap wider than SAT_GAP) or the depth
+    band (depth * shortest side > SAT_DEPTH * sum of sides), negative
+    between them, where ``rects_overlap`` runs the clip.
+    """
+    over = _sat_min_overlap(a, b)
+    return max(-SAT_GAP - over, over - SAT_DEPTH * sum(sizes) / min(sizes))
+
+
+def test_centre_test_is_the_clip_predicate_where_it_settles():
+    # the generator of test_rects_overlap_is_the_clip_predicate_near_contact:
+    # where the centre test settles a pair it must give the clip's answer; a
+    # pair 1e-5 m inside a band must be settled, one 1e-5 m outside both not
+    rng = np.random.default_rng(2024)
+    n_settled = n_deferred = 0
+    for i in range(3000):
+        ax, ay = rng.uniform(-20.0, 20.0, 2)
+        wa, wb = rng.uniform(0.5, 2.6, 2)
+        la, lb = rng.uniform(1.0, 6.0, 2)
+        ya, yb = rng.uniform(-math.pi, math.pi, 2)
+        if i % 4 == 0:   # parallel or perpendicular edges
+            yb = ya + rng.integers(4) * math.pi / 2.0
+        phi = rng.uniform(-math.pi, math.pi)
+        d = np.array([math.cos(phi), math.sin(phi)])
+        gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+        s = _touch_distance(wa, la, ya, wb, lb, yb, d) + gap
+        bx, by = ax + s * d[0], ay + s * d[1]
+        if i % 2 == 0:
+            ax, ay, bx, by = (_snap(v) for v in (ax, ay, bx, by))
+            ya, yb = _snap(ya, YAW_SNAP), _snap(yb, YAW_SNAP)
+        a = rect_corners(ax, ay, wa, la, ya)
+        b = rect_corners(bx, by, wb, lb, yb)
+        ra, rb = _centre_rect(ax, ay, wa, la, ya), _centre_rect(bx, by, wb, lb, yb)
+        got = rects_overlap_by_centres(ra, rb)
+        assert rects_overlap_by_centres(rb, ra) is got, (i, gap)
+        margin = _band_margin(a, b, (wa, la, wb, lb))
+        if got is None:
+            n_deferred += 1
+            assert margin < 1e-5, (i, gap, margin)
+        else:
+            n_settled += 1
+            assert margin > -1e-5, (i, gap, margin)
+            assert got == _clip_overlap(a, b) == _clip_overlap(b, a), (i, gap)
+            assert got == rects_overlap(a, b), (i, gap)
+    assert n_settled > 800 and n_deferred > 1500, (n_settled, n_deferred)   # 938, 2062
+
+
+def test_centre_test_defers_on_the_adversarial_contacts():
+    # the table of test_rects_overlap_adversarial_contacts as centre
+    # rectangles: only the clear overlaps may be settled
+    a = (0.0, 0.0, 2.0, 4.0, 0.0)
+    cases = {
+        "shared edge": ((4.0, 0.0, 2.0, 4.0, 0.0), None),
+        "shared edge, offset": ((1.0, 2.0, 2.0, 4.0, 0.0), None),
+        "corner to corner": ((4.0, 2.0, 2.0, 4.0, 0.0), None),
+        "corner on corner, rotated": (
+            (2.0 + math.sqrt(0.5), 1.0, 1.0, 1.0, math.pi / 4.0), None),
+        "contained": ((0.3, -0.2, 0.5, 1.0, 0.7), True),
+        "identical": (a, True),
+        "zero width": ((0.5, 0.0, 0.0, 1.0, 0.4), None),
+        "x, 1e-9 apart": ((4.0 + 1e-9, 0.0, 2.0, 4.0, 0.0), None),
+        "x, 1e-9 into": ((4.0 - 1e-9, 0.0, 2.0, 4.0, 0.0), None),
+        "y, 1e-9 apart": ((0.0, 2.0 + 1e-9, 2.0, 4.0, 0.0), None),
+        "y, 1e-9 into": ((0.0, 2.0 - 1e-9, 2.0, 4.0, 0.0), None),
+        "x, one POS_SNAP apart": ((4.0 + POS_SNAP, 0.0, 2.0, 4.0, 0.0), None),
+        "x, one POS_SNAP into": ((4.0 - POS_SNAP, 0.0, 2.0, 4.0, 0.0), None),
+        "x, 1e-5 apart": ((4.0 + 1e-5, 0.0, 2.0, 4.0, 0.0), False),
+    }
+    for name, (b, want) in cases.items():
+        for p, q in ((a, b), (b, a)):
+            got = rects_overlap_by_centres(_centre_rect(*p), _centre_rect(*q))
+            assert got is want, name
+            if want is not None:
+                assert _clip_overlap(rect_corners(*p), rect_corners(*q)) == want, name
+    # the same contacts on a rotated frame, yaw on the YAW_SNAP grid
+    yaw = _snap(0.3, YAW_SNAP)
+    c, s = math.cos(yaw), math.sin(yaw)
+    ra = _centre_rect(0.0, 0.0, 2.0, 4.0, yaw)
+    for dx, dy in ((4.0, 0.0), (0.0, 2.0)):
+        for eps in (-1e-9, 0.0, 1e-9):
+            k = 1.0 + eps / math.hypot(dx, dy)
+            rb = _centre_rect(k * (c * dx - s * dy), k * (s * dx + c * dy), 2.0, 4.0, yaw)
+            assert rects_overlap_by_centres(ra, rb) is None, (dx, dy, eps)
+            assert rects_overlap_by_centres(rb, ra) is None, (dx, dy, eps)
