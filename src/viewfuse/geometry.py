@@ -172,6 +172,8 @@ def optical_to_local(opt: np.ndarray) -> np.ndarray:
 
 # ---- planar rectangles and convex polygons (shared by scene + eval) ----
 #
+# ``rects_overlap`` takes rectangles in centre form (x, y, w, l, yaw fields,
+# as boxes carry them); the polygon functions take ``rect_corners`` arrays.
 # ``rect_corners``'s matmul and ``polygon_area``'s ``np.dot`` stay BLAS calls:
 # every recorded scene and eval golden was made with their rounding, and the
 # BLAS kernels do not round like plain Python arithmetic: a pure-Python
@@ -230,104 +232,50 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, 2))
 
 
-# separating-axis bands of ``rects_overlap``: a gap wider than SAT_GAP metres
-# settles "apart"; a penetration depth ``d`` with d * shortest_side >
-# SAT_DEPTH * sum_of_sides settles "overlapping"
+# the separating-axis bands of ``rects_overlap``, in metres: a gap wider than
+# SAT_GAP settles "apart", a penetration depth ``d`` with d * shortest_side >
+# SAT_DEPTH * sum_of_sides settles "overlapping", and a pair must lie more
+# than SAT_SLACK inside a band for the band to settle it
 SAT_GAP = 1e-6
 SAT_DEPTH = 1e-4
+SAT_SLACK = 1e-9
 
 
 def rects_overlap(a, b) -> bool:
     """True when two rectangles share interior area.
 
-    ``a`` and ``b`` are ``rect_corners`` arrays or the same corners as
-    Python lists (``rect_corners(...).tolist()``); both give the same
-    answer. The decision is ``polygon_area(clip_convex(a, b)) > 1e-12``; the
-    separating-axis theorem settles most pairs without the clip. Both
-    rectangles are projected on their four edge axes, unrolled on Python
-    floats in the order of the corners.
+    ``a`` and ``b`` are anything with x, y, w, l, yaw fields (GT boxes,
+    detections). The decision is ``polygon_area(clip_convex(...)) > 1e-12``
+    on their ``rect_corners``; the separating-axis theorem settles almost
+    every pair without the clip. On each of the four edge axes ``L`` (both
+    headings and their normals) the projections overlap by ``r_a + r_b -
+    |T.L|``, ``T`` the centre offset and ``r`` a rectangle's projected
+    half-extent (the OBB test of Gottschalk, Lin & Manocha, SIGGRAPH 1996);
+    ``depth`` is the smallest of the four.
 
     - A gap wider than ``SAT_GAP`` on one axis means the exact intersection
       is empty, and the clip's vertices, which lie within rounding of both
       rectangles, cannot exist: the clip returns nothing.
-    - Otherwise the smallest overlap ``d`` is the penetration depth (the
-      distance from the origin to the edge of the Minkowski difference).
-      Brunn-Minkowski makes sqrt(area(A & (B + t))) concave in ``t``. At the
-      translation that puts the centres together that area is at least
-      pi/4 * m^2 (``m`` the shortest side), so area(A & B) >= pi/4 *
-      (d * m / (diam A + diam B))^2. Sides summing to ``S`` bound the two
-      diameters, so ``d * m > SAT_DEPTH * S`` means an area of at least
-      7.8e-9, far above the clip's 1e-12 threshold and its rounding at
-      coordinates below ~100 m.
+    - Otherwise ``depth`` is the penetration depth (the distance from the
+      origin to the edge of the Minkowski difference). Brunn-Minkowski makes
+      sqrt(area(A & (B + t))) concave in ``t``. At the translation that puts
+      the centres together that area is at least pi/4 * m^2 (``m`` the
+      shortest side), so area(A & B) >= pi/4 * (depth * m / (diam A + diam
+      B))^2. Sides summing to ``S`` bound the two diameters, so ``depth * m
+      > SAT_DEPTH * S`` means an area of at least 7.8e-9, far above the
+      clip's 1e-12 threshold and its rounding at coordinates below ~100 m.
 
-    Pairs in neither band, touching within rounding, go to the clip. Scene
-    generation settles deeply overlapping boxes by their inscribed discs,
-    and most others by ``rects_overlap_by_centres``, before it gets here
-    (``scene._Placed``).
+    Both proofs are about the corners the clip is given, which round apart
+    from ``depth``: at |coords| < 100 m the overlap projected from the
+    corners differed from ``depth`` by at most 2.8e-13 m over 1e5 random
+    pairs. So a band answers only for a pair more than ``SAT_SLACK`` inside
+    it, over three orders above that. Pairs touching within rounding go to
+    the clip.
     """
-    pa = a.tolist() if isinstance(a, np.ndarray) else a
-    pb = b.tolist() if isinstance(b, np.ndarray) else b
-    (a0x, a0y), (a1x, a1y), (a2x, a2y), (a3x, a3y) = pa
-    (b0x, b0y), (b1x, b1y), (b2x, b2y), (b3x, b3y) = pb
-    depth = shortest = math.inf
-    sides = 0.0
-    for nx, ny in ((a1x - a0x, a1y - a0y), (a3x - a0x, a3y - a0y),
-                   (b1x - b0x, b1y - b0y), (b3x - b0x, b3y - b0y)):
-        side = math.hypot(nx, ny)
-        if side == 0.0:
-            return polygon_area(clip_convex(np.array(pa), np.array(pb))) > 1e-12
-        ka0 = a0x * nx + a0y * ny
-        ka1 = a1x * nx + a1y * ny
-        ka2 = a2x * nx + a2y * ny
-        ka3 = a3x * nx + a3y * ny
-        kb0 = b0x * nx + b0y * ny
-        kb1 = b1x * nx + b1y * ny
-        kb2 = b2x * nx + b2y * ny
-        kb3 = b3x * nx + b3y * ny
-        over = min(max(ka0, ka1, ka2, ka3) - min(kb0, kb1, kb2, kb3),
-                   max(kb0, kb1, kb2, kb3) - min(ka0, ka1, ka2, ka3)) / side
-        if over < -SAT_GAP:
-            return False
-        if over < depth:
-            depth = over
-        if side < shortest:
-            shortest = side
-        sides += side
-    if depth * shortest > SAT_DEPTH * sides:
-        return True
-    return polygon_area(clip_convex(np.array(pa), np.array(pb))) > 1e-12
-
-
-# how far inside a band ``rects_overlap_by_centres`` needs a pair before it
-# answers. It and ``rects_overlap`` compute the same per-axis overlap, from
-# centres and from corners, and round differently: the corners carry ~1e-14
-# m of rounding at |coords| < 100 m, their projections on unnormalised edges
-# more, and the two overlaps differed by at most 2.8e-13 m over 1e5 random
-# pairs there. A margin of 1e-9 m is over three orders above that, so an
-# overlap past a band edge by more than it lies past that edge in both
-# computations. The sides and the shortest side of the two differ in their
-# last bits only, which moves ``depth * shortest`` by ~1e-14, far below the
-# margin's 1e-9 * shortest.
-SAT_SLACK = 1e-9
-
-
-def rects_overlap_by_centres(a, b) -> bool | None:
-    """``rects_overlap``'s band decision from centres; None when undecided.
-
-    ``a`` and ``b`` are (x, y, w, l, cos yaw, sin yaw). On each of the four
-    edge axes ``L`` (both headings and their normals) the projections overlap
-    by ``r_a + r_b - |T.L|``, ``T`` the centre offset and ``r`` a rectangle's
-    projected half-extent (the OBB test of Gottschalk, Lin & Manocha,
-    SIGGRAPH 1996). That equals ``rects_overlap``'s ``min(maxA - minB, maxB -
-    minA)`` without building corners. The answer is True or False only when
-    the pair lies more than ``SAT_SLACK`` inside the ``SAT_GAP`` or the
-    ``SAT_DEPTH`` band, where ``rects_overlap`` gives the same answer from
-    the same band. Anything nearer a band edge, or between the bands, is
-    None, and the caller asks ``rects_overlap``.
-    """
-    ax, ay, aw, al, ac, as_ = a
-    bx, by, bw, bl, bc, bs = b
-    tx, ty = bx - ax, by - ay
+    aw, al, bw, bl = a.w, a.l, b.w, b.l
+    ac, as_ = math.cos(a.yaw), math.sin(a.yaw)
+    bc, bs = math.cos(b.yaw), math.sin(b.yaw)
+    tx, ty = b.x - a.x, b.y - a.y
     cos_ab = abs(ac * bc + as_ * bs)   # |u_a.u_b| = |v_a.v_b|
     sin_ab = abs(as_ * bc - ac * bs)   # |u_a.v_b| = |v_a.u_b|
     # half-extents of b on a's heading and normal, and of a on b's
@@ -344,4 +292,5 @@ def rects_overlap_by_centres(a, b) -> bool | None:
     # sides summed as (a) + (b), so swapping a and b gives the same bits
     if (depth - SAT_SLACK) * min(aw, al, bw, bl) > SAT_DEPTH * ((aw + al) + (bw + bl)):
         return True
-    return None
+    return polygon_area(clip_convex(rect_corners(a.x, a.y, aw, al, a.yaw),
+                                    rect_corners(b.x, b.y, bw, bl, b.yaw))) > 1e-12

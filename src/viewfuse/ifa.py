@@ -168,7 +168,6 @@ class Sightings:
     """
     maps: Tensor | None       # [V, C, fh, fw] the views that observe anything
     uv: np.ndarray            # [M, 2] feature coords of each triple
-    height: np.ndarray        # [M]
     view: np.ndarray          # [M] index into maps
     cell: np.ndarray          # [M]
     cell_rows: Rows           # ``cell`` for take_rows, one VJP matrix per cascade
@@ -214,9 +213,8 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
                        shape=(v_cnt.size, rows.size))
     v_inv = np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0)
     h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
-    return Sightings(maps=maps, uv=uv[height, view, cell], height=height,
-                     view=view, cell=cell, cell_rows=Rows(cell), v_inv=v_inv,
-                     h_inv=h_inv, v_sum=v_sum,
+    return Sightings(maps=maps, uv=uv[height, view, cell], view=view, cell=cell,
+                     cell_rows=Rows(cell), v_inv=v_inv, h_inv=h_inv, v_sum=v_sum,
                      coef=v_inv[height, cell] * h_inv[cell])
 
 

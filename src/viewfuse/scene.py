@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import (
     NEAR_EPS, CameraModel, Pose, normalize_angle, project_points, rect_corners,
-    rects_overlap, rects_overlap_by_centres,
+    rects_overlap,
 )
 from .tensor import Mlp, Tensor
 
@@ -449,41 +449,24 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-# a centre distance this far inside the sum of the inscribed radii is a clash
-# without the overlap test: the inscribed discs then share a lens of area
-# ~4e-5 m^2 or more, far above the 1e-12 of ``rects_overlap``'s clip. It is
-# the second link of the chain in ``_Placed``.
-DEEP_OVERLAP = 1e-3
-
-
 class _Placed:
-    """A box under placement: its radii, its centre rectangle and, once
-    read, its corners.
+    """A box under placement: its circumscribed radius and, once read, its
+    corners.
 
-    Whether two footprints share area is decided by the first link of this
-    chain that settles it; each later link costs more:
+    Whether two footprints share area is decided in two steps: centres
+    farther apart than the sum of the ``radius`` are apart, and
+    ``rects_overlap`` on the two boxes settles every other pair.
 
-    1. centres farther apart than the sum of the circumscribed ``radius``:
-       apart;
-    2. closer than the sum of the inscribed ``inner`` (half the shorter
-       side) less ``DEEP_OVERLAP``: overlapping;
-    3. ``rects_overlap_by_centres`` on ``rect`` (centre, size, cos and sin
-       of the yaw): the separating-axis bands, read from the centres;
-    4. ``rects_overlap`` on ``pts``: the same bands from the corners, then
-       the clip.
-
-    ``pts``, the ``rect_corners`` output as Python floats, also feeds the
-    bearing spans. It is computed the first time it is read, so the pairs
-    the first three links settle never pay for it.
+    ``pts``, the ``rect_corners`` output as Python floats, feeds the bearing
+    spans. It is computed the first time it is read, so the overlap tests
+    never pay for it.
     """
 
-    __slots__ = ("box", "radius", "inner", "rect", "_pts")
+    __slots__ = ("box", "radius", "_pts")
 
     def __init__(self, box: GtBox):
         self.box = box
         self.radius = math.hypot(box.w, box.l) / 2.0
-        self.inner = min(box.w, box.l) / 2.0
-        self.rect = (box.x, box.y, box.w, box.l, math.cos(box.yaw), math.sin(box.yaw))
         self._pts = None
 
     @property
@@ -497,12 +480,6 @@ def _agent_clearance(pose: Pose) -> _Placed:
     """The rectangle around an agent that no box or other agent may enter."""
     return _Placed(GtBox(obj_id=-1, x=pose.x, y=pose.y, z=0.0, w=AGENT_CLEAR_W,
                          l=AGENT_CLEAR_L, h=0.0, yaw=pose.yaw))
-
-
-def _overlaps(a: _Placed, b: _Placed) -> bool:
-    """``rects_overlap(a.pts, b.pts)``, from the centres where they settle it."""
-    hit = rects_overlap_by_centres(a.rect, b.rect)
-    return rects_overlap(a.pts, b.pts) if hit is None else hit
 
 
 def _sample_box(rng, obj_id, x, y, yaw, kind) -> _Placed:
@@ -608,7 +585,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                         _snap(ego_pose.y + d * math.sin(phi)),
                         0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
             clearance = _agent_clearance(pose)
-            if not any(_overlaps(clearance, other) for other in clearances):
+            if not any(rects_overlap(clearance.box, other.box) for other in clearances):
                 agent_poses.append(pose)
                 clearances.append(clearance)
                 break
@@ -638,13 +615,13 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     clear_sets: list[list[int]] = []
 
     def clashes(cand: _Placed) -> bool:
-        # the chain of ``_Placed``, its first two links inline
-        x, y, r, inner = cand.box.x, cand.box.y, cand.radius, cand.inner
+        # the two steps of ``_Placed``, the radius cull inline
+        box = cand.box
+        x, y, r = box.x, box.y, cand.radius
         for others in (clearances, boxes):
             for b in others:
-                d = math.hypot(x - b.box.x, y - b.box.y)
-                if d <= r + b.radius and (d < inner + b.inner - DEEP_OVERLAP
-                                          or _overlaps(cand, b)):
+                if (math.hypot(x - b.box.x, y - b.box.y) <= r + b.radius
+                        and rects_overlap(box, b.box)):
                     return True
         return False
 
@@ -734,7 +711,7 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             occ = _sample_box(rng, len(boxes), ego_pose.x + do * math.cos(phi),
                               ego_pose.y + do * math.sin(phi),
                               phi + math.pi / 2.0 + _uniform(rng, -0.25, 0.25), "truck")
-            if clashes(occ) or clashes(tgt) or _overlaps(occ, tgt):
+            if clashes(occ) or clashes(tgt) or rects_overlap(occ.box, tgt.box):
                 continue
             if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                 continue

@@ -151,9 +151,6 @@ class Tensor:
             ),
         )
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
     def __neg__(self):
         return Tensor._make(-self.data, (self,), lambda g: (-g,))
 
@@ -177,14 +174,6 @@ class Tensor:
         )
 
     # ---- elementwise functions ----
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor._make(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self):
-        a = self
-        return Tensor._make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
@@ -247,10 +236,6 @@ class Tensor:
         else:
             inv = tuple(np.argsort(axes))
         return Tensor._make(out_data, (a,), lambda g: (np.transpose(g, inv),))
-
-    @property
-    def T(self):
-        return self.transpose()
 
     def __getitem__(self, key):
         a = self

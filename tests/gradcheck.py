@@ -121,8 +121,6 @@ def op_gradient_cases(rng: np.random.Generator):
     yield "div", lambda a, b: ((a / b) * Tensor(wa)).sum(), [u((3, 4)), u((3, 4), 0.5, 2.0)]
     yield "neg", lambda a: ((-a) * Tensor(wa)).sum(), [u((3, 4))]
     yield "pow", lambda a: ((a ** 2.5) * Tensor(wa)).sum(), [u((3, 4), 0.2, 2.0)]
-    yield "exp", lambda a: (a.exp() * Tensor(wa)).sum(), [u((3, 4), -1.0, 1.0)]
-    yield "log", lambda a: (a.log() * Tensor(wa)).sum(), [u((3, 4), 0.2, 3.0)]
     yield "sqrt", lambda a: (a.sqrt() * Tensor(wa)).sum(), [u((3, 4), 0.2, 3.0)]
     yield "abs", lambda a: (a.abs() * Tensor(wa)).sum(), [away_from(u((3, 4)), [0.0])]
     yield "relu", lambda a: (T.linear(a, Tensor(np.eye(4)), Tensor(np.zeros(4)), relu=True)
@@ -134,7 +132,7 @@ def op_gradient_cases(rng: np.random.Generator):
     yield "sum_axis", lambda a: (a.sum(axis=0) * Tensor(w4)).sum(), [u((3, 4))]
     yield "mean_axis", lambda a: (a.mean(axis=1, keepdims=True) * Tensor(w31)).sum(), [u((3, 4))]
     yield "reshape", lambda a: (a.reshape(2, 6) * Tensor(w26)).sum(), [u((3, 4))]
-    yield "transpose", lambda a: (a.T * Tensor(w43)).sum(), [u((3, 4))]
+    yield "transpose", lambda a: (a.transpose() * Tensor(w43)).sum(), [u((3, 4))]
     yield "getitem", lambda a: (a[1:3, ::2] * Tensor(w22)).sum(), [u((3, 4))]
     yield "concat", lambda a, b: (T.concat([a, b], axis=0) * Tensor(w54)).sum(), \
         [u((2, 4)), u((3, 4))]

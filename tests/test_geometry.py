@@ -1,18 +1,20 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import viewfuse.geometry
 from viewfuse.geometry import (
     CameraModel, Pose, apply_pose, apply_pose_noise, camera_in_frame,
     clip_convex, compose, invert, normalize_angle, polygon_area,
-    project_points, rect_corners, rects_overlap, rects_overlap_by_centres,
+    project_points, rect_corners, rects_overlap,
     relative_pose, unproject_feature_to_optical, optical_to_local,
     SAT_DEPTH, SAT_GAP,
 )
-from viewfuse.scene import DEEP_OVERLAP, POS_SNAP, YAW_SNAP, _snap
+from viewfuse.scene import POS_SNAP, YAW_SNAP, _snap
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -244,10 +246,13 @@ def test_rect_corners_length_along_heading():
     assert r[:, 1].max() == pytest.approx(3.0)
 
 
+Rect = namedtuple("Rect", "x y w l yaw")   # centre form, as rects_overlap takes it
+
+
 def test_rects_overlap():
-    a = rect_corners(0.0, 0.0, 2.0, 4.0, 0.2)
-    assert rects_overlap(a, rect_corners(0.5, 0.5, 2.0, 4.0, -0.4))
-    assert not rects_overlap(a, rect_corners(10.0, 0.0, 2.0, 4.0, 0.0))
+    a = Rect(0.0, 0.0, 2.0, 4.0, 0.2)
+    assert rects_overlap(a, Rect(0.5, 0.5, 2.0, 4.0, -0.4))
+    assert not rects_overlap(a, Rect(10.0, 0.0, 2.0, 4.0, 0.0))
 
 
 # ---- the overlap predicate against its clip definition ----
@@ -289,16 +294,9 @@ def _touch_distance(wa, la, ya, wb, lb, yb, d) -> float:
     return best
 
 
-def _assert_list_input_agrees(a, b):
-    """The same corners as Python lists give the array answer, both ways."""
-    for p, q in ((a, b), (b, a)):
-        want = rects_overlap(p, q)
-        assert rects_overlap(p.tolist(), q.tolist()) == want
-        assert rects_overlap(p.tolist(), q) == want
-        assert rects_overlap(p, q.tolist()) == want
-
-
-def test_rects_overlap_is_the_clip_predicate_near_contact():
+def _near_contact_pairs():
+    """3000 (i, gap, a, b): rectangles ``gap`` apart (negative: into each
+    other) along a random direction, |gap| from 1e-12 to 0.1 m."""
     rng = np.random.default_rng(2024)
     for i in range(3000):
         ax, ay = rng.uniform(-20.0, 20.0, 2)
@@ -315,92 +313,78 @@ def test_rects_overlap_is_the_clip_predicate_near_contact():
         if i % 2 == 0:
             ax, ay, bx, by = (_snap(v) for v in (ax, ay, bx, by))
             ya, yb = _snap(ya, YAW_SNAP), _snap(yb, YAW_SNAP)
-        a = rect_corners(ax, ay, wa, la, ya)
-        b = rect_corners(bx, by, wb, lb, yb)
-        assert rects_overlap(a, b) == _clip_overlap(a, b), (i, gap)
-        assert rects_overlap(b, a) == _clip_overlap(b, a), (i, gap)
-        _assert_list_input_agrees(a, b)
+        yield i, gap, Rect(ax, ay, wa, la, ya), Rect(bx, by, wb, lb, yb)
 
 
-def test_rects_overlap_adversarial_contacts():
-    a = rect_corners(0.0, 0.0, 2.0, 4.0, 0.0)       # x in [-2, 2], y in [-1, 1]
-    shared_edge = rect_corners(4.0, 0.0, 2.0, 4.0, 0.0)
-    # projections touch exactly: a SAT with no band would call this overlap
-    assert _sat_min_overlap(a, shared_edge) >= 0.0
-    cases = {
-        "shared edge": (shared_edge, False),
-        "shared edge, offset": (rect_corners(1.0, 2.0, 2.0, 4.0, 0.0), False),
-        "corner to corner": (rect_corners(4.0, 2.0, 2.0, 4.0, 0.0), False),
-        "corner on corner, rotated": (
-            rect_corners(2.0 + math.sqrt(0.5), 1.0, 1.0, 1.0, math.pi / 4.0), False),
-        "contained": (rect_corners(0.3, -0.2, 0.5, 1.0, 0.7), True),
-        "identical": (a.copy(), True),
-        "zero width": (rect_corners(0.5, 0.0, 0.0, 1.0, 0.4), False),
-        "x, 1e-9 apart": (rect_corners(4.0 + 1e-9, 0.0, 2.0, 4.0, 0.0), False),
-        "x, 1e-9 into": (rect_corners(4.0 - 1e-9, 0.0, 2.0, 4.0, 0.0), True),
-        "y, 1e-9 apart": (rect_corners(0.0, 2.0 + 1e-9, 2.0, 4.0, 0.0), False),
-        "y, 1e-9 into": (rect_corners(0.0, 2.0 - 1e-9, 2.0, 4.0, 0.0), True),
-        "x, one POS_SNAP apart": (rect_corners(4.0 + POS_SNAP, 0.0, 2.0, 4.0, 0.0), False),
-        "x, one POS_SNAP into": (rect_corners(4.0 - POS_SNAP, 0.0, 2.0, 4.0, 0.0), True),
-    }
-    for name, (b, want) in cases.items():
-        assert _clip_overlap(a, b) == want, name
-        assert rects_overlap(a, b) == want, name
-        assert rects_overlap(b, a) == want, name
-        _assert_list_input_agrees(a, b)
-    # the same contacts on a rotated frame, yaw on the YAW_SNAP grid
+# contacts against A = Rect(0, 0, 2, 4, 0), x in [-2, 2], y in [-1, 1]:
+# name -> (B, whether they share area, whether the centre bands settle it)
+_CONTACTS = {
+    "shared edge": (Rect(4.0, 0.0, 2.0, 4.0, 0.0), False, False),
+    "shared edge, offset": (Rect(1.0, 2.0, 2.0, 4.0, 0.0), False, False),
+    "corner to corner": (Rect(4.0, 2.0, 2.0, 4.0, 0.0), False, False),
+    "corner on corner, rotated": (
+        Rect(2.0 + math.sqrt(0.5), 1.0, 1.0, 1.0, math.pi / 4.0), False, False),
+    "contained": (Rect(0.3, -0.2, 0.5, 1.0, 0.7), True, True),
+    "identical": (Rect(0.0, 0.0, 2.0, 4.0, 0.0), True, True),
+    "zero width": (Rect(0.5, 0.0, 0.0, 1.0, 0.4), False, False),
+    "x, 1e-9 apart": (Rect(4.0 + 1e-9, 0.0, 2.0, 4.0, 0.0), False, False),
+    "x, 1e-9 into": (Rect(4.0 - 1e-9, 0.0, 2.0, 4.0, 0.0), True, False),
+    "y, 1e-9 apart": (Rect(0.0, 2.0 + 1e-9, 2.0, 4.0, 0.0), False, False),
+    "y, 1e-9 into": (Rect(0.0, 2.0 - 1e-9, 2.0, 4.0, 0.0), True, False),
+    "x, one POS_SNAP apart": (Rect(4.0 + POS_SNAP, 0.0, 2.0, 4.0, 0.0), False, False),
+    "x, one POS_SNAP into": (Rect(4.0 - POS_SNAP, 0.0, 2.0, 4.0, 0.0), True, False),
+    "x, 1e-5 apart": (Rect(4.0 + 1e-5, 0.0, 2.0, 4.0, 0.0), False, True),
+}
+
+
+def _rotated_contacts():
+    """The shared-edge contacts of ``_CONTACTS``, touching and 1e-9 m either
+    side, on a frame rotated by a yaw on the YAW_SNAP grid."""
     yaw = _snap(0.3, YAW_SNAP)
     c, s = math.cos(yaw), math.sin(yaw)
-    ra = rect_corners(0.0, 0.0, 2.0, 4.0, yaw)
+    ra = Rect(0.0, 0.0, 2.0, 4.0, yaw)
     for dx, dy in ((4.0, 0.0), (0.0, 2.0)):
         for eps in (-1e-9, 0.0, 1e-9):
             k = 1.0 + eps / math.hypot(dx, dy)
-            rb = rect_corners(k * (c * dx - s * dy), k * (s * dx + c * dy), 2.0, 4.0, yaw)
-            assert rects_overlap(ra, rb) == _clip_overlap(ra, rb), (dx, dy, eps)
-            assert rects_overlap(rb, ra) == _clip_overlap(rb, ra), (dx, dy, eps)
-            _assert_list_input_agrees(ra, rb)
+            yield (dx, dy, eps), ra, Rect(k * (c * dx - s * dy), k * (s * dx + c * dy),
+                                          2.0, 4.0, yaw)
 
 
-def test_deep_overlap_rule_implies_the_clip_predicate():
-    # scene generation calls two boxes clashing, with no overlap test, when
-    # their centres are closer than the sum of their inscribed radii (half
-    # the shorter sides) minus DEEP_OVERLAP; the clip must agree on every
-    # such pair, most of all near that bound and with the short sides facing
-    rng = np.random.default_rng(1003)
-    n_deep = 0
-    for i in range(6000):
-        wa, wb = rng.uniform(0.2, 2.6, 2)
-        la, lb = rng.uniform(0.2, 6.0, 2)
-        ya = _snap(rng.uniform(-math.pi, math.pi), YAW_SNAP)
-        bound = min(wa, la) / 2.0 + min(wb, lb) / 2.0 - DEEP_OVERLAP
-        if i % 3 == 0:   # random pair
-            yb = rng.uniform(-math.pi, math.pi)
-            phi = rng.uniform(-math.pi, math.pi)
-            d = rng.uniform(0.0, 1.2) * bound
-        else:            # within 1e-3 m of the bound
-            yb = ya + rng.integers(4) * math.pi / 2.0 if i % 3 == 1 else \
-                rng.uniform(-math.pi, math.pi)
-            # across the shorter side of a when it faces b
-            phi = ya + (math.pi / 2.0 if wa <= la else 0.0)
-            d = bound + rng.uniform(-1e-3, 1e-3)
-        yb = _snap(yb, YAW_SNAP)
-        ax, ay = (_snap(v) for v in rng.uniform(-20.0, 20.0, 2))
-        bx, by = _snap(ax + d * math.cos(phi)), _snap(ay + d * math.sin(phi))
-        if math.hypot(bx - ax, by - ay) >= bound:
-            continue
-        n_deep += 1
-        a = rect_corners(ax, ay, wa, la, ya)
-        b = rect_corners(bx, by, wb, lb, yb)
-        assert _clip_overlap(a, b) and _clip_overlap(b, a), (i, d, bound)
-        assert rects_overlap(a.tolist(), b.tolist()), (i, d, bound)
-    assert n_deep > 3000
+def _clip_calls(monkeypatch) -> list:
+    """One entry per ``clip_convex`` call ``rects_overlap`` makes from now on."""
+    calls = []
+    real = viewfuse.geometry.clip_convex
+
+    def counting(subject, clip):
+        calls.append(1)
+        return real(subject, clip)
+
+    monkeypatch.setattr(viewfuse.geometry, "clip_convex", counting)
+    return calls
 
 
-# ---- the centre test against the clip ----
+def test_rects_overlap_is_the_clip_predicate_near_contact():
+    for i, gap, ra, rb in _near_contact_pairs():
+        a, b = rect_corners(*ra), rect_corners(*rb)
+        assert rects_overlap(ra, rb) == _clip_overlap(a, b), (i, gap)
+        assert rects_overlap(rb, ra) == _clip_overlap(b, a), (i, gap)
 
-def _centre_rect(x, y, w, l, yaw):
-    return (x, y, w, l, math.cos(yaw), math.sin(yaw))
 
+def test_rects_overlap_adversarial_contacts():
+    a = Rect(0.0, 0.0, 2.0, 4.0, 0.0)
+    # projections touch exactly: a SAT with no band would call this overlap
+    assert _sat_min_overlap(rect_corners(*a), rect_corners(*_CONTACTS["shared edge"][0])) >= 0.0
+    for name, (b, want, _) in _CONTACTS.items():
+        assert _clip_overlap(rect_corners(*a), rect_corners(*b)) == want, name
+        assert rects_overlap(a, b) == want, name
+        assert rects_overlap(b, a) == want, name
+    for key, ra, rb in _rotated_contacts():
+        a, b = rect_corners(*ra), rect_corners(*rb)
+        assert rects_overlap(ra, rb) == _clip_overlap(a, b), key
+        assert rects_overlap(rb, ra) == _clip_overlap(b, a), key
+
+
+# ---- which pairs the centre bands settle without the clip ----
 
 def _band_margin(a, b, sizes) -> float:
     """How far (m) the pair lies inside ``rects_overlap``'s nearer band.
@@ -413,78 +397,42 @@ def _band_margin(a, b, sizes) -> float:
     return max(-SAT_GAP - over, over - SAT_DEPTH * sum(sizes) / min(sizes))
 
 
-def test_centre_test_is_the_clip_predicate_where_it_settles():
-    # the generator of test_rects_overlap_is_the_clip_predicate_near_contact:
-    # where the centre test settles a pair it must give the clip's answer; a
-    # pair 1e-5 m inside a band must be settled, one 1e-5 m outside both not
-    rng = np.random.default_rng(2024)
+def test_centre_test_is_the_clip_predicate_where_it_settles(monkeypatch):
+    # on the near-contact pairs: a pair the centre bands settle, in both
+    # argument orders alike, must get the clip's answer; a pair 1e-5 m inside
+    # a band must never reach the clip, and one 1e-5 m outside both always
+    clips = _clip_calls(monkeypatch)
     n_settled = n_deferred = 0
-    for i in range(3000):
-        ax, ay = rng.uniform(-20.0, 20.0, 2)
-        wa, wb = rng.uniform(0.5, 2.6, 2)
-        la, lb = rng.uniform(1.0, 6.0, 2)
-        ya, yb = rng.uniform(-math.pi, math.pi, 2)
-        if i % 4 == 0:   # parallel or perpendicular edges
-            yb = ya + rng.integers(4) * math.pi / 2.0
-        phi = rng.uniform(-math.pi, math.pi)
-        d = np.array([math.cos(phi), math.sin(phi)])
-        gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
-        s = _touch_distance(wa, la, ya, wb, lb, yb, d) + gap
-        bx, by = ax + s * d[0], ay + s * d[1]
-        if i % 2 == 0:
-            ax, ay, bx, by = (_snap(v) for v in (ax, ay, bx, by))
-            ya, yb = _snap(ya, YAW_SNAP), _snap(yb, YAW_SNAP)
-        a = rect_corners(ax, ay, wa, la, ya)
-        b = rect_corners(bx, by, wb, lb, yb)
-        ra, rb = _centre_rect(ax, ay, wa, la, ya), _centre_rect(bx, by, wb, lb, yb)
-        got = rects_overlap_by_centres(ra, rb)
-        assert rects_overlap_by_centres(rb, ra) is got, (i, gap)
-        margin = _band_margin(a, b, (wa, la, wb, lb))
-        if got is None:
-            n_deferred += 1
-            assert margin < 1e-5, (i, gap, margin)
-        else:
+    for i, gap, ra, rb in _near_contact_pairs():
+        a, b = rect_corners(*ra), rect_corners(*rb)
+        got = rects_overlap(ra, rb)
+        settled = not clips
+        assert rects_overlap(rb, ra) is got, (i, gap)
+        assert len(clips) == (0 if settled else 2), (i, gap)
+        clips.clear()
+        margin = _band_margin(a, b, (ra.w, ra.l, rb.w, rb.l))
+        if settled:
             n_settled += 1
             assert margin > -1e-5, (i, gap, margin)
             assert got == _clip_overlap(a, b) == _clip_overlap(b, a), (i, gap)
-            assert got == rects_overlap(a, b), (i, gap)
+        else:
+            n_deferred += 1
+            assert margin < 1e-5, (i, gap, margin)
     assert n_settled > 800 and n_deferred > 1500, (n_settled, n_deferred)   # 938, 2062
 
 
-def test_centre_test_defers_on_the_adversarial_contacts():
-    # the table of test_rects_overlap_adversarial_contacts as centre
-    # rectangles: only the clear overlaps may be settled
-    a = (0.0, 0.0, 2.0, 4.0, 0.0)
-    cases = {
-        "shared edge": ((4.0, 0.0, 2.0, 4.0, 0.0), None),
-        "shared edge, offset": ((1.0, 2.0, 2.0, 4.0, 0.0), None),
-        "corner to corner": ((4.0, 2.0, 2.0, 4.0, 0.0), None),
-        "corner on corner, rotated": (
-            (2.0 + math.sqrt(0.5), 1.0, 1.0, 1.0, math.pi / 4.0), None),
-        "contained": ((0.3, -0.2, 0.5, 1.0, 0.7), True),
-        "identical": (a, True),
-        "zero width": ((0.5, 0.0, 0.0, 1.0, 0.4), None),
-        "x, 1e-9 apart": ((4.0 + 1e-9, 0.0, 2.0, 4.0, 0.0), None),
-        "x, 1e-9 into": ((4.0 - 1e-9, 0.0, 2.0, 4.0, 0.0), None),
-        "y, 1e-9 apart": ((0.0, 2.0 + 1e-9, 2.0, 4.0, 0.0), None),
-        "y, 1e-9 into": ((0.0, 2.0 - 1e-9, 2.0, 4.0, 0.0), None),
-        "x, one POS_SNAP apart": ((4.0 + POS_SNAP, 0.0, 2.0, 4.0, 0.0), None),
-        "x, one POS_SNAP into": ((4.0 - POS_SNAP, 0.0, 2.0, 4.0, 0.0), None),
-        "x, 1e-5 apart": ((4.0 + 1e-5, 0.0, 2.0, 4.0, 0.0), False),
-    }
-    for name, (b, want) in cases.items():
+def test_centre_test_defers_on_the_adversarial_contacts(monkeypatch):
+    # only the clear overlaps and the clear gap of ``_CONTACTS`` may be
+    # settled without the clip
+    clips = _clip_calls(monkeypatch)
+    a = Rect(0.0, 0.0, 2.0, 4.0, 0.0)
+    for name, (b, want, settles) in _CONTACTS.items():
         for p, q in ((a, b), (b, a)):
-            got = rects_overlap_by_centres(_centre_rect(*p), _centre_rect(*q))
-            assert got is want, name
-            if want is not None:
-                assert _clip_overlap(rect_corners(*p), rect_corners(*q)) == want, name
-    # the same contacts on a rotated frame, yaw on the YAW_SNAP grid
-    yaw = _snap(0.3, YAW_SNAP)
-    c, s = math.cos(yaw), math.sin(yaw)
-    ra = _centre_rect(0.0, 0.0, 2.0, 4.0, yaw)
-    for dx, dy in ((4.0, 0.0), (0.0, 2.0)):
-        for eps in (-1e-9, 0.0, 1e-9):
-            k = 1.0 + eps / math.hypot(dx, dy)
-            rb = _centre_rect(k * (c * dx - s * dy), k * (s * dx + c * dy), 2.0, 4.0, yaw)
-            assert rects_overlap_by_centres(ra, rb) is None, (dx, dy, eps)
-            assert rects_overlap_by_centres(rb, ra) is None, (dx, dy, eps)
+            assert rects_overlap(p, q) is want, name
+            assert (not clips) is settles, name
+            clips.clear()
+    for key, ra, rb in _rotated_contacts():
+        for p, q in ((ra, rb), (rb, ra)):
+            rects_overlap(p, q)
+            assert len(clips) == 1, key
+            clips.clear()
