@@ -57,35 +57,57 @@ def _sidecar_logger(path: Path):
     return log
 
 
+def _checked(section, option: str, name: str, value):
+    """``section`` with field ``name`` set to ``value``, held to the
+    section's own rules; a rejection names the command-line ``option``."""
+    out = replace(section, **{name: value})
+    try:
+        out.validate()
+    except ValueError as e:
+        raise ConfigError(f"{option} {value}: {e}") from None
+    return out
+
+
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "steps", None) is not None:
-        cfg = replace(cfg, train=replace(cfg.train, steps=args.steps))
+        cfg = replace(cfg, train=_checked(cfg.train, "--steps", "steps",
+                                          args.steps))
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
+        cfg = replace(cfg, train=_checked(cfg.train, "--seed", "seed",
+                                          args.seed))
     if getattr(args, "c_thre", None) is not None:
-        cfg = replace(cfg, model=replace(cfg.model, c_thre=args.c_thre))
+        cfg = replace(cfg, model=_checked(cfg.model, "--c-thre", "c_thre",
+                                          args.c_thre))
+    if getattr(args, "noise", None) is not None:
+        cfg = replace(cfg, eval=_checked(cfg.eval, "--noise", "noise_sigma",
+                                         args.noise))
     cfg.validate()
     return cfg
 
 
-def _parse_values(spec: str, integer: bool = False) -> list:
-    """Sweep grids: "a:b:n" is n evenly spaced points, else a comma list."""
+def _parse_values(spec: str, axis: str, integer: bool = False) -> list:
+    """Sweep grids: "a:b:n" is n evenly spaced points, else a comma list.
+
+    An ``integer`` axis takes whole numbers and rounds a range's points.
+    """
     m = re.fullmatch(r"([^:,]+):([^:,]+):(\d+)", spec.strip())
     try:
-        if m:
-            n = int(m.group(3))
-            if n < 1:
-                raise ConfigError(f'sweep spec "{spec}" needs at least 1 point')
-            vals = np.linspace(float(m.group(1)), float(m.group(2)), n)
-            return [int(round(v)) for v in vals] if integer else [float(v) for v in vals]
-        vals = [float(s) for s in spec.split(",") if s.strip()]
+        vals = ([float(m.group(1)), float(m.group(2))] if m
+                else [float(s) for s in spec.split(",") if s.strip()])
     except ValueError:
-        raise ConfigError(f'cannot parse sweep values "{spec}"') from None
-    if not vals:
-        raise ConfigError(f'cannot parse sweep values "{spec}"')
+        vals = []
+    if not vals or not np.isfinite(vals).all():
+        raise ConfigError(f'sweep axis "{axis}": "{spec}" is not a list or '
+                          f'range of finite numbers')
+    if integer and not all(v.is_integer() for v in vals):
+        raise ConfigError(f'sweep axis "{axis}": "{spec}" needs whole numbers')
+    if m:
+        if int(m.group(3)) < 1:
+            raise ConfigError(f'sweep spec "{spec}" needs at least 1 point')
+        vals = [float(v) for v in np.linspace(*vals, int(m.group(3)))]
     return [int(round(v)) for v in vals] if integer else vals
 
 
@@ -166,26 +188,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_kwargs(cfg: ExperimentConfig, noise_override=None,
-                 c_thre=None) -> dict:
+def _eval_kwargs(cfg: ExperimentConfig, c_thre=None) -> dict:
     e = cfg.eval
-    sigma = e.noise_sigma if noise_override is None else noise_override
-    return dict(noise_sigma=sigma, c_thre=c_thre, eval_seed=e.eval_seed,
-                det_thre=e.det_thre, fingerprint=fingerprint(cfg))
+    return dict(noise_sigma=e.noise_sigma, c_thre=c_thre,
+                eval_seed=e.eval_seed, det_thre=e.det_thre,
+                fingerprint=fingerprint(cfg))
 
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
+    if args.eval_c_thre is not None:
+        # held to model.c_thre's rule, but not written there: the
+        # checkpoint's fingerprint covers the model section
+        _checked(cfg.model, "--c-thre", "c_thre", args.eval_c_thre)
+    # a bad sweep is refused before the checkpoint and scenes are loaded
+    points = _sweep_points(cfg, *args.sweep) if args.sweep else None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.npz"
     model = _load_model(cfg, ckpt)
     flags = PIPELINES[args.pipeline]
     scenes = _scenes(cfg, cfg.eval)
-    kw = _eval_kwargs(cfg, noise_override=args.noise, c_thre=args.eval_c_thre)
-    if args.sweep:
-        return _run_sweep(args.sweep[0], args.sweep[1], model, scenes,
-                          args.pipeline, cfg, out, kw)
+    kw = _eval_kwargs(cfg, c_thre=args.eval_c_thre)
+    if points:
+        return _run_sweep(*points, model, scenes, args.pipeline, out, kw)
     reports = [evaluate_scenes(model, scenes, flags, label=args.pipeline,
                                **kw)]
     _save_reports(reports, out)
@@ -193,23 +219,33 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-CLI_SWEEP_AXES = {"noise": "noise_sigma", "c_thre": "c_thre",
-                  "agents": "n_agents"}
+# CLI axis name -> (config section, field): the sweep axis and its rule
+CLI_SWEEP_AXES = {"noise": ("eval", "noise_sigma"),
+                  "c_thre": ("model", "c_thre"),
+                  "agents": ("scene", "n_agents")}
 
 
-def _run_sweep(axis_name: str, value_spec: str, model, scenes, pipeline: str,
-               cfg: ExperimentConfig, out: Path, kw: dict) -> int:
+def _sweep_points(cfg: ExperimentConfig, axis_name: str,
+                  value_spec: str) -> tuple[str, list]:
+    """(axis, values) of ``--sweep AXIS VALUES``, each value checked."""
     if axis_name not in CLI_SWEEP_AXES:
         raise ConfigError(
             f'unknown sweep axis "{axis_name}"; '
             f'pick from {",".join(sorted(CLI_SWEEP_AXES))}')
-    axis = CLI_SWEEP_AXES[axis_name]
-    values = _parse_values(value_spec, integer=axis == "n_agents")
+    section, axis = CLI_SWEEP_AXES[axis_name]
+    values = _parse_values(value_spec, axis_name, integer=axis == "n_agents")
+    for v in values:
+        _checked(getattr(cfg, section), f'sweep axis "{axis_name}"', axis, v)
     n_agents = cfg.scene.n_agents
     if axis == "n_agents" and not all(1 <= v <= n_agents for v in values):
         raise ConfigError(
             f'sweep axis "{axis_name}": values {values} must lie in '
             f'1..{n_agents}, the agent count of the eval scenes')
+    return axis, values
+
+
+def _run_sweep(axis: str, values: list, model, scenes, pipeline: str,
+               out: Path, kw: dict) -> int:
     kw = dict(kw)
     kw.pop(axis, None)   # the sweep sets it per point
     reports = sweep(axis, values, model, scenes, pipeline, **kw)
@@ -254,7 +290,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_gen_scenes(args) -> int:
     cfg = _resolve_config(args)
-    n = args.n if args.n is not None else cfg.eval.n_scenes
+    n = (cfg.eval.n_scenes if args.n is None
+         else _checked(cfg.eval, "--n", "n_scenes", args.n).n_scenes)
     seed0 = args.seed0 if args.seed0 is not None else cfg.eval.scene_seed0
     path = Path(args.out_file)
     path.parent.mkdir(parents=True, exist_ok=True)

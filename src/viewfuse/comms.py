@@ -2,9 +2,11 @@
 
 Senders pick confident detections, crop the view feature map to each box
 (outward-rounded to whole cells) and ship the crops as little-endian
-messages. Receivers rebuild a sparse feature map with background zeroed.
-Every byte that would cross a link is tallied in a ledger so bandwidth
-numbers are exact rather than estimated.
+messages. Receivers rebuild a sparse feature map with background zeroed,
+and the mask of the cells the crops cover; training, which keeps the
+sender's map, takes its mask from the same rebuild. Every byte that would
+cross a link is tallied in a ledger so bandwidth numbers are exact rather
+than estimated.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scene import Instance2D, ViewFeatures
+from .scene import Instance2D
+from .tensor import Tensor
 
 INSTANCE_MAGIC = b"VFMS"
 DETECTION_MAGIC = b"VFDT"
@@ -128,12 +131,6 @@ class DetectionMessage:
 
 
 @dataclass
-class ReconstructedView:
-    features: np.ndarray   # (fC, fH, fW) float64, f32-valued
-    mask: np.ndarray       # (fH, fW) bool, True where a crop was written
-
-
-@dataclass
 class CommLedger:
     """Single-writer byte accumulator for the links of one scene."""
     header_bytes: int = 0
@@ -196,15 +193,16 @@ def crop_bounds(box, feat_w: int, feat_h: int):
     return r0, r1, c0, c1
 
 
-def select_messages(view: ViewFeatures, instances: list[Instance2D],
+def select_messages(features: Tensor, instances: list[Instance2D],
                     c_thre: float) -> list[InstanceMessage]:
-    """Crop the view feature map around each detection above threshold.
+    """Crop the [C, H, W] view map around each detection above threshold.
 
     Confidence must be strictly greater than ``c_thre``; crops that clip to
     nothing are dropped. Payloads are the f32 quantization of the view
-    features inside the outward-rounded box.
+    features inside the outward-rounded box; agent and view come from the
+    detection.
     """
-    fmap = view.features.data
+    fmap = features.data
     _, fh, fw = fmap.shape
     out = []
     for n, inst in enumerate(instances):
@@ -215,20 +213,21 @@ def select_messages(view: ViewFeatures, instances: list[Instance2D],
         if r0 >= r1 or c0 >= c1:
             continue
         out.append(InstanceMessage(
-            agent_id=view.agent_id, view_id=view.view_id, index=n,
+            agent_id=inst.agent_id, view_id=inst.view_id, index=n,
             box=tuple(_f32(v) for v in box),
             confidence=_f32(inst.confidence),
             payload=fmap[:, r0:r1, c0:c1].astype(np.float32)))
     return out
 
 
-def fullmap_message(view: ViewFeatures) -> InstanceMessage:
+def fullmap_message(features: Tensor, agent_id: int,
+                    view_id: int) -> InstanceMessage:
     """The whole feature map as a single crop (no instance selection)."""
-    _, fh, fw = view.features.data.shape
+    _, fh, fw = features.shape
     return InstanceMessage(
-        agent_id=view.agent_id, view_id=view.view_id, index=0,
+        agent_id=agent_id, view_id=view_id, index=0,
         box=(0.0, 0.0, float(fw), float(fh)), confidence=1.0,
-        payload=view.features.data.astype(np.float32))
+        payload=features.data.astype(np.float32))
 
 
 # ---- wire format ----
@@ -290,17 +289,20 @@ def decode_detection(buf: bytes) -> DetectionMessage:
 
 
 def reconstruct_view(messages: list[InstanceMessage],
-                     dims: tuple[int, int, int]) -> ReconstructedView:
-    """Fill crops back into a zero map.
+                     dims: tuple[int, int, int]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Fill crops back into a zero map: (features, mask).
 
-    Crops are applied in ascending confidence order so the most confident
+    ``features`` is a (fC, fH, fW) float64 map holding the f32 payload
+    values; ``mask`` is (fH, fW) bool, True where a crop was written. Crops
+    are applied in ascending confidence order so the most confident
     instance owns any overlap cells. All messages must come from one (j, k).
     """
     fc, fh, fw = dims
     feats = np.zeros((fc, fh, fw))
     mask = np.zeros((fh, fw), dtype=bool)
     if not messages:
-        return ReconstructedView(feats, mask)
+        return feats, mask
     j, k = messages[0].agent_id, messages[0].view_id
     for m in messages:
         if (m.agent_id, m.view_id) != (j, k):
@@ -315,16 +317,4 @@ def reconstruct_view(messages: list[InstanceMessage],
                 f"cols {c0}:{c1} of a {dims} map")
         feats[:, r0:r1, c0:c1] = m.payload
         mask[r0:r1, c0:c1] = True
-    return ReconstructedView(feats, mask)
-
-
-def foreground_mask(messages: list[InstanceMessage], feat_h: int,
-                    feat_w: int) -> np.ndarray:
-    """Union of crop rectangles; the differentiable stand-in used in training
-    where the pipeline multiplies features by the mask instead of crossing
-    the wire."""
-    mask = np.zeros((feat_h, feat_w), dtype=bool)
-    for m in messages:
-        r0, r1, c0, c1 = crop_bounds(m.box, feat_w, feat_h)
-        mask[r0:r1, c0:c1] = True
-    return mask
+    return feats, mask

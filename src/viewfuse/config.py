@@ -19,6 +19,7 @@ import dataclasses
 import difflib
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -50,8 +51,8 @@ class TrainConfig:
             raise ValueError("lr must be > 0")
         if self.batch < 1 or self.n_scenes < 1:
             raise ValueError("batch and n_scenes must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
 
@@ -67,8 +68,8 @@ class EvalConfig:
     def validate(self) -> None:
         if self.n_scenes < 1:
             raise ValueError("n_scenes must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.det_thre is not None and not (0.0 <= self.det_thre <= 1.0):
             raise ValueError("det_thre must be in [0, 1] or null")
 
@@ -99,11 +100,6 @@ class ExperimentConfig:
                 "seed ranges overlap, the test set would leak into training")
 
 
-_SECTIONS = ("scene", "model", "train", "eval")
-_SECTION_TYPES = {"scene": SceneConfig, "model": ModelConfig,
-                  "train": TrainConfig, "eval": EvalConfig}
-
-
 def _coerce(value, ftype: str, path: str):
     if ftype == "int":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -112,6 +108,8 @@ def _coerce(value, ftype: str, path: str):
     if ftype == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f'"{path}" must be a number, got {value!r}')
+        if not math.isfinite(value):
+            raise ConfigError(f'"{path}" must be finite, got {value!r}')
         return float(value)
     if ftype == "float | None":
         if value is None:
@@ -124,18 +122,26 @@ def _coerce(value, ftype: str, path: str):
     raise ConfigError(f'"{path}" has unsupported field type {ftype!r}')
 
 
-def _section_from_dict(cls, d, path: str):
+def _from_dict(cls, d, path: str):
+    """``cls`` from the JSON object ``d``, whose dotted path is ``path``.
+
+    A field whose default factory is a dataclass is a section and recurses.
+    """
     if not isinstance(d, dict):
         raise ConfigError(f'"{path}" must be an object, got {d!r}')
     known = {f.name: f for f in fields(cls)}
     out = {}
     for k, v in d.items():
+        where = f"{path}.{k}" if path else k
         if k not in known:
             close = difflib.get_close_matches(k, known, n=1)
             hint = f' (did you mean "{close[0]}"?)' if close else ""
-            raise ConfigError(f'unknown config key "{path}.{k}"{hint}')
+            raise ConfigError(f'unknown config key "{where}"{hint}')
+        section = known[k].default_factory
         # every section's module has postponed annotations: types are text
-        out[k] = _coerce(v, known[k].type, f"{path}.{k}")
+        out[k] = (_from_dict(section, v, where)
+                  if dataclasses.is_dataclass(section)
+                  else _coerce(v, known[k].type, where))
     return cls(**out)
 
 
@@ -147,30 +153,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError(
             f"config version {version!r} unsupported "
             f"(this build reads version {CONFIG_VERSION})")
-    top = {f.name for f in fields(ExperimentConfig)} | {"version"}
-    kwargs = {}
-    for k, v in d.items():
-        if k not in top:
-            close = difflib.get_close_matches(k, top, n=1)
-            hint = f' (did you mean "{close[0]}"?)' if close else ""
-            raise ConfigError(f'unknown config key "{k}"{hint}')
-        if k == "version":
-            continue
-        if k in _SECTION_TYPES:
-            kwargs[k] = _section_from_dict(_SECTION_TYPES[k], v, k)
-        elif k == "out_dir":
-            kwargs[k] = _coerce(v, "str", k)
-    cfg = ExperimentConfig(**kwargs)
+    cfg = _from_dict(ExperimentConfig,
+                     {k: v for k, v in d.items() if k != "version"}, "")
     cfg.validate()
     return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = {"version": CONFIG_VERSION}
-    for name in _SECTIONS:
-        d[name] = dataclasses.asdict(getattr(cfg, name))
-    d["out_dir"] = cfg.out_dir
-    return d
+    return {"version": CONFIG_VERSION, **dataclasses.asdict(cfg)}
 
 
 def load_config(path) -> ExperimentConfig:

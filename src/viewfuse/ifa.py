@@ -78,10 +78,11 @@ class BevGridSpec:
 class BevView:
     """One feature map the BEV queries may attend to.
 
-    ``mask`` marks cells that actually carry content (None means the whole
-    map does); a reference point only counts as observed where its
-    projection lands on a masked-in cell, so empty reconstructions do not
-    dilute the average.
+    ``mask`` marks cells that actually carry content: a collaborator view
+    carries the mask ``comms.reconstruct_view`` rebuilt from what it sent,
+    and None (an ego view) means the whole map does. A reference point only
+    counts as observed where its projection lands on a masked-in cell, so
+    empty reconstructions do not dilute the average.
     """
     features: Tensor          # [C, fh, fw]
     cam: CameraModel

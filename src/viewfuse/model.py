@@ -5,11 +5,12 @@ aggregation cascade and the query decoder into one trainable model, and
 provides the training step, the training loop and checkpoint
 round-tripping.
 
-Two data paths exist for collaborator features. Training multiplies the
-sender's differentiable feature map by the foreground mask so gradients
+Two data paths exist for collaborator features. Training keeps the
+sender's differentiable feature map, multiplied by the mask, so gradients
 reach the shared encoder; inference pushes real bytes through the wire
-codec and reconstructs on the receiver side. Both derive crop bounds from
-the same f32-quantized boxes, so the two paths select identical cells.
+codec and uses the receiver's rebuilt map. Both take the mask from
+``reconstruct_view`` on the sent stream and cut every shared crop with the
+same ``crop_bounds``, so the two paths select identical cells.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ import numpy as np
 from .cdqa import (HybridQueries, build_hybrid_queries, cone_encode,
                    ground_anchor, instance_gap_encode)
 from .comms import (CommLedger, InstanceMessage, crop_bounds, decode_message,
-                    encode_message, foreground_mask, fullmap_message,
-                    reconstruct_view, select_messages)
+                    encode_message, fullmap_message, reconstruct_view,
+                    select_messages)
 from .decoder import BoxCodec, DetrDecoder, LossWeights, Predictions, set_loss
 from .geometry import (Pose, apply_pose, apply_pose_noise, camera_in_frame,
                        invert, normalize_angle, relative_pose)
@@ -202,41 +203,38 @@ def _collab_view(model: PipelineModel, scene: Scene, j: int, k: int,
     """Render, detect, share and rebuild one collaborator view.
 
     The sent stream is the instance crops, followed by the whole feature map
-    when ``flags.mask`` is off; the crops alone feed query adaptation.
+    when ``flags.mask`` is off; the crops alone feed query adaptation. The
+    mask is the stream's rebuilt one on both paths; features and crops come
+    from the sender map in training and from the rebuilt map on the wire,
+    whose cells hold the payloads' f32 values.
     Returns (BevView | None, shared instance records).
     """
     cfg = scene.cfg
-    vf = render_view_features(scene, j, k, model.enc)
-    if not vf.valid:
+    if not scene.agents[j].view_valid[k]:
         return None, []
+    fmap = render_view_features(scene, j, k, model.enc)
     cam = scene.agents[j].cams[k]
     insts = detect_instances_2d(scene, j, k, mode=detector_mode)
-    msgs = select_messages(vf, insts, c_thre)
-    sent = msgs if flags.mask else msgs + [fullmap_message(vf)]
+    msgs = select_messages(fmap, insts, c_thre)
+    sent = msgs if flags.mask else msgs + [fullmap_message(fmap, j, k)]
     for m in sent:
         ledger.count_instance_message(m, receiver=receiver)
     if not sent:
         return None, []
 
     if wire:
-        got = [decode_message(encode_message(m)) for m in sent]
-        # a full map, when sent, is the last message and alone fills the view
-        rv = reconstruct_view(got if flags.mask else got[-1:],
-                              (model.cfg.c, cfg.feat_h, cfg.feat_w))
-        feats, mask_arr = Tensor(rv.features), rv.mask
-        crops = [(m, Tensor(np.asarray(m.payload, dtype=np.float64)))
-                 for m in got[:len(msgs)]]
-    else:
-        feats, mask_arr = vf.features, None
-        if flags.mask:
-            mask_arr = foreground_mask(msgs, cfg.feat_h, cfg.feat_w)
-            feats = feats * Tensor(mask_arr[None, :, :].astype(float))
-        crops = []
-        for m in msgs:
-            r0, r1, c0, c1 = crop_bounds(m.box, cfg.feat_w, cfg.feat_h)
-            crops.append((m, vf.features[:, r0:r1, c0:c1]))
-    shared = [SharedInstance(message=m, cam=cam, agent_pose_in_ego=pose_in_ego,
-                             crop=crop) for m, crop in crops]
+        sent = [decode_message(encode_message(m)) for m in sent]
+    rebuilt, mask_arr = reconstruct_view(sent, (model.cfg.c, cfg.feat_h,
+                                                cfg.feat_w))
+    src = feats = Tensor(rebuilt) if wire else fmap
+    if flags.mask and not wire:
+        feats = fmap * Tensor(mask_arr[None, :, :].astype(float))
+    shared = []
+    for m in sent[:len(msgs)]:
+        r0, r1, c0, c1 = crop_bounds(m.box, cfg.feat_w, cfg.feat_h)
+        shared.append(SharedInstance(message=m, cam=cam,
+                                     agent_pose_in_ego=pose_in_ego,
+                                     crop=src[:, r0:r1, c0:c1]))
     view = BevView(features=feats, cam=cam, agent_pose_in_ego=pose_in_ego,
                    agent_id=j, view_id=k, valid=True, mask=mask_arr)
     return view, shared
@@ -292,11 +290,11 @@ def model_forward(model: PipelineModel, scene: Scene,
     views: list[BevView] = []
     shared: list[SharedInstance] = []
     for k in range(scene.cfg.n_cams):
-        vf = render_view_features(scene, ego, k, model.enc)
-        views.append(BevView(features=vf.features, cam=ego_rig.cams[k],
+        fmap = render_view_features(scene, ego, k, model.enc)
+        views.append(BevView(features=fmap, cam=ego_rig.cams[k],
                              agent_pose_in_ego=Pose(0.0, 0.0, 0.0, 0.0),
-                             agent_id=ego, view_id=k, valid=vf.valid,
-                             mask=None))
+                             agent_id=ego, view_id=k,
+                             valid=ego_rig.view_valid[k], mask=None))
     if flags.ifa:
         for j in range(len(scene.agents)):
             if j == ego:

@@ -350,25 +350,15 @@ def render_raw(scene: Scene, agent_idx: int, view_idx: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class ViewFeatures:
-    features: Tensor            # [feat_c, feat_h, feat_w], through the encoder
-    valid: bool
-    agent_id: int
-    view_id: int
-
-
 def render_view_features(scene: Scene, agent_idx: int, view_idx: int,
-                         encoder: Mlp) -> ViewFeatures:
-    """Raster -> signatures -> pixel noise -> pointwise encoder MLP."""
+                         encoder: Mlp) -> Tensor:
+    """Raster -> signatures -> pixel noise -> pointwise encoder MLP: the
+    encoded [C, feat_h, feat_w] map (zero signatures for an invalid view)."""
     cfg = scene.cfg
-    valid = bool(scene.agents[agent_idx].view_valid[view_idx])
     raw = render_raw(scene, agent_idx, view_idx)
     cells = Tensor(raw.reshape(cfg.feat_c, cfg.feat_h * cfg.feat_w).T)
     enc = encoder(cells)
-    fmap = enc.transpose().reshape(enc.shape[1], cfg.feat_h, cfg.feat_w)
-    return ViewFeatures(features=fmap, valid=valid,
-                        agent_id=agent_idx, view_id=view_idx)
+    return enc.transpose().reshape(enc.shape[1], cfg.feat_h, cfg.feat_w)
 
 
 # ---- instance detection ----

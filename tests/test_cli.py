@@ -89,6 +89,16 @@ def test_type_errors_name_the_path():
         config_from_dict({"train": {"steps": True}})
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_name_the_path(literal):
+    # Python's json reads these literals; no config field may hold them
+    for path in ("train.lr", "train.noise_sigma", "eval.noise_sigma",
+                 "scene.range_m", "scene.pixel_noise", "model.resolution"):
+        sec, key = path.split(".")
+        with pytest.raises(ConfigError, match=re.escape(f'"{path}"')):
+            config_from_dict(json.loads(f'{{"{sec}": {{"{key}": {literal}}}}}'))
+
+
 def test_fingerprint_stable_across_key_order(tmp_path):
     d = cfg_dict(tmp_path / "a")
     flipped = {k: d[k] for k in reversed(list(d))}
@@ -370,6 +380,34 @@ def test_sweep_agents_beyond_the_scene_roster(trained, capsys):
     err = capsys.readouterr().err
     assert "agents" in err and "1..2" in err
     assert not list(run.glob("sweep_*n_agents.csv"))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--noise", "-0.5"], "--noise"),
+    (["eval", "--noise", "nan"], "--noise"),
+    (["eval", "--c-thre", "7"], "--c-thre"),
+    (["eval", "--c-thre", "nan"], "--c-thre"),
+    (["eval", "--c-thre", "-1"], "--c-thre"),
+    (["eval", "--sweep", "c_thre", "0.5,2"], '"c_thre"'),
+    (["eval", "--sweep", "noise", "0:-1:2"], '"noise"'),
+    (["eval", "--sweep", "agents", "inf"], '"agents"'),
+    (["eval", "--sweep", "agents", "1.5"], '"agents"'),
+    (["gen-scenes", "scenes.jsonl", "--n", "-2"], "--n"),
+])
+def test_values_outside_the_config_rules_exit_2(trained, tmp_path, capsys,
+                                                argv, named):
+    # a command-line value is held to the rule of the config field it
+    # stands for, and a refusal names the option or the sweep axis before
+    # anything is loaded or written
+    cp, run = trained
+    if argv[0] == "eval":
+        argv = [*argv, "--out", str(tmp_path / "out"),
+                "--checkpoint", str(run / "checkpoint.npz")]
+    else:
+        argv = [argv[0], str(tmp_path / argv[1]), *argv[2:]]
+    assert main([*argv, "--config", str(cp)]) == 2
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---- ablate ----

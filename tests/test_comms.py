@@ -18,7 +18,6 @@ from viewfuse.comms import (
     decode_message,
     encode_detection,
     encode_message,
-    foreground_mask,
     fullmap_message,
     reconstruct_view,
     select_messages,
@@ -26,7 +25,6 @@ from viewfuse.comms import (
 from viewfuse.scene import (
     Instance2D,
     SceneConfig,
-    ViewFeatures,
     detect_instances_2d,
     generate_scene,
     render_view_features,
@@ -34,10 +32,9 @@ from viewfuse.scene import (
 from viewfuse.tensor import Mlp, Tensor
 
 
-def _view(fc=3, fh=6, fw=8, seed=0, agent_id=1, view_id=2):
+def _view(fc=3, fh=6, fw=8, seed=0):
     rng = np.random.default_rng(seed)
-    return ViewFeatures(features=Tensor(rng.normal(size=(fc, fh, fw))),
-                        valid=True, agent_id=agent_id, view_id=view_id)
+    return Tensor(rng.normal(size=(fc, fh, fw)))
 
 
 def _inst(u0, v0, u1, v1, conf, obj_id=0):
@@ -143,7 +140,8 @@ def test_select_crop_outward_rounding():
     # floor the mins, ceil the maxes: rows 2..5, cols 1..4
     assert crop_bounds(m.box, 8, 6) == (2, 5, 1, 4)
     np.testing.assert_array_equal(
-        m.payload, view.features.data[:, 2:5, 1:4].astype(np.float32))
+        m.payload, view.data[:, 2:5, 1:4].astype(np.float32))
+    assert (m.agent_id, m.view_id) == (1, 2)   # provenance of the detection
 
 
 def test_select_drops_empty_clip():
@@ -156,21 +154,21 @@ def test_select_drops_empty_clip():
 
 def test_fullmap_message_covers_everything():
     view = _view()
-    m = fullmap_message(view)
-    assert m.payload.shape == view.features.data.shape
-    rec = reconstruct_view([m], view.features.data.shape)
-    np.testing.assert_array_equal(rec.features,
-                                  view.features.data.astype(np.float32))
-    assert rec.mask.all()
+    m = fullmap_message(view, 1, 2)
+    assert (m.agent_id, m.view_id) == (1, 2)
+    assert m.payload.shape == view.shape
+    feats, mask = reconstruct_view([m], view.shape)
+    np.testing.assert_array_equal(feats, view.data.astype(np.float32))
+    assert mask.all()
 
 
 # ---- reconstruction ----
 
 
 def test_reconstruct_empty():
-    rec = reconstruct_view([], (3, 6, 8))
-    assert not rec.features.any()
-    assert not rec.mask.any()
+    feats, mask = reconstruct_view([], (3, 6, 8))
+    assert not feats.any()
+    assert not mask.any()
 
 
 def test_reconstruct_disjoint_crops():
@@ -178,13 +176,13 @@ def test_reconstruct_disjoint_crops():
     insts = [_inst(0.0, 0.0, 2.0, 2.0, conf=0.6, obj_id=0),
              _inst(5.0, 3.0, 7.0, 5.0, conf=0.7, obj_id=1)]
     msgs = select_messages(view, insts, 0.0)
-    rec = reconstruct_view(msgs, view.features.data.shape)
-    src = view.features.data.astype(np.float32)
-    np.testing.assert_array_equal(rec.features[:, 0:2, 0:2], src[:, 0:2, 0:2])
-    np.testing.assert_array_equal(rec.features[:, 3:5, 5:7], src[:, 3:5, 5:7])
-    outside = ~rec.mask
+    feats, mask = reconstruct_view(msgs, view.shape)
+    src = view.data.astype(np.float32)
+    np.testing.assert_array_equal(feats[:, 0:2, 0:2], src[:, 0:2, 0:2])
+    np.testing.assert_array_equal(feats[:, 3:5, 5:7], src[:, 3:5, 5:7])
+    outside = ~mask
     assert outside.sum() == 6 * 8 - 8
-    assert not rec.features[:, outside].any()
+    assert not feats[:, outside].any()
 
 
 def test_reconstruct_overlap_confidence_ordered():
@@ -195,10 +193,10 @@ def test_reconstruct_overlap_confidence_ordered():
                          box=(2.0, 2.0, 4.0, 4.0), confidence=0.9,
                          payload=np.full((1, 2, 2), 7.0, dtype=np.float32))
     for order in ([lo, hi], [hi, lo]):
-        rec = reconstruct_view(order, (1, 5, 5))
-        assert rec.features[0, 2, 2] == 7.0   # overlap owned by higher conf
-        assert rec.features[0, 0, 0] == 5.0
-        assert rec.features[0, 3, 3] == 7.0
+        feats, _ = reconstruct_view(order, (1, 5, 5))
+        assert feats[0, 2, 2] == 7.0   # overlap owned by higher conf
+        assert feats[0, 0, 0] == 5.0
+        assert feats[0, 3, 3] == 7.0
 
 
 def test_reconstruct_rejects_mixed_provenance_and_bad_fit():
@@ -227,18 +225,17 @@ def test_exactness_over_wire_on_rendered_scene():
     assert insts, "seed must give agent 1 view 0 something to share"
     msgs = select_messages(view, insts, c_thre=0.0)
     wire = [decode_message(encode_message(m)) for m in msgs]
-    rec = reconstruct_view(wire, view.features.data.shape)
-    src32 = view.features.data.astype(np.float32)
-    cover = np.zeros(rec.mask.shape, dtype=int)
+    feats, mask = reconstruct_view(wire, view.shape)
+    src32 = view.data.astype(np.float32)
+    cover = np.zeros(mask.shape, dtype=int)
     for m in msgs:
         r0, r1, c0, c1 = crop_bounds(m.box, cover.shape[1], cover.shape[0])
         cover[r0:r1, c0:c1] += 1
     single = cover == 1
     assert single.any()
-    np.testing.assert_array_equal(rec.features[:, single], src32[:, single])
-    assert not rec.features[:, ~rec.mask].any()
-    np.testing.assert_array_equal(rec.mask, foreground_mask(
-        msgs, rec.mask.shape[0], rec.mask.shape[1]))
+    np.testing.assert_array_equal(feats[:, single], src32[:, single])
+    np.testing.assert_array_equal(mask, cover > 0)
+    assert not feats[:, ~mask].any()
 
 
 # ---- ledger ----
@@ -303,11 +300,10 @@ def test_bandwidth_monotone_in_threshold_and_mask_dominance():
     assert totals[-1] == 0   # nothing has confidence above 1.0
 
     led_full = CommLedger()
-    for v in views:
-        led_full.count_instance_message(fullmap_message(v), receiver=0)
+    for k, v in enumerate(views):
+        led_full.count_instance_message(fullmap_message(v, 1, k), receiver=0)
     # background cells exist, so instance sharing must be strictly cheaper
-    masks = [foreground_mask(select_messages(v, ds, 0.0),
-                             cfg.feat_h, cfg.feat_w)
+    masks = [reconstruct_view(select_messages(v, ds, 0.0), v.shape)[1]
              for v, ds in zip(views, dets)]
     assert any((~m).any() for m in masks)
     assert totals[0] < led_full.total_bytes

@@ -5,6 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from viewfuse import model as model_mod
 from viewfuse.model import (
     CheckpointError,
     FLAGS_FULL,
@@ -76,6 +77,17 @@ def test_wire_path_matches_training_path(setup, mask):
     np.testing.assert_allclose(wi.preds.box_vec.data, tr.preds.box_vec.data,
                                rtol=1e-4, atol=1e-5)
     assert [s.message for s in wi.shared] == [s.message for s in tr.shared]
+    # one rebuild of the sent stream gives both paths their mask
+    assert len(wi.views) == len(tr.views) > scene.cfg.n_cams
+    for v_tr, v_wi in zip(tr.views[scene.cfg.n_cams:],
+                          wi.views[scene.cfg.n_cams:]):
+        assert v_tr.mask is not None and v_tr.mask.any()
+        np.testing.assert_array_equal(v_tr.mask, v_wi.mask)
+    # a wire-path crop, cut from the rebuilt map, is its payload bit for bit
+    assert wi.shared
+    for s in wi.shared:
+        assert s.crop.data.tobytes() == \
+            s.message.payload.astype(np.float64).tobytes()
     # background cells are exactly zero on both paths
     for v_tr, v_wi in zip(tr.views, wi.views):
         if v_tr.mask is None:
@@ -84,6 +96,27 @@ def test_wire_path_matches_training_path(setup, mask):
             v_tr.features.data[:, ~v_tr.mask], 0.0)
         np.testing.assert_array_equal(
             v_wi.features.data[:, ~v_wi.mask], 0.0)
+
+
+def test_invalid_collaborator_views_are_never_rendered(monkeypatch):
+    scene = generate_scene(small_scene_cfg(n_agents=3, missing_view_prob=0.3),
+                           0)
+    invalid = {(j, k) for j, rig in enumerate(scene.agents) if j != 0
+               for k, ok in enumerate(rig.view_valid) if not ok}
+    assert invalid, "seed must drop some collaborator view"
+    calls = []
+    real = model_mod.render_view_features
+
+    def spy(scene, j, k, enc):
+        calls.append((j, k))
+        return real(scene, j, k, enc)
+
+    monkeypatch.setattr(model_mod, "render_view_features", spy)
+    model = PipelineModel(small_model_cfg(), np.random.default_rng(7))
+    for wire in (False, True):
+        model_forward(model, scene, FLAGS_FULL, wire=wire)
+    every = {(j, k) for j in range(3) for k in range(scene.cfg.n_cams)}
+    assert set(calls) == every - invalid
 
 
 def test_fullmap_flag_shares_more_bytes(setup):
