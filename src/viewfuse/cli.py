@@ -8,9 +8,11 @@ the sidecar log, which is the only place timestamps are written. Exit codes
 are part of the contract so scripts can branch on the failure class:
 
     0  success
-    2  invalid config or command line (the message names the field), or
+    2  invalid config or command line (the message names the field), a
+       scene the generator cannot build (names the seed and the reason),
        an unreadable message (names the path, or the byte offset where it
-       fails to decode) or checkpoint (names the path)
+       fails to decode) or checkpoint, or a path that cannot be read or
+       written (names the path)
     3  training hit a non-finite loss
     4  checkpoint fingerprint does not match the config, or a checkpoint
        to resume or to fill an ablation row was trained with other flags
@@ -40,7 +42,7 @@ from .model import (FLAGS_FULL, CheckpointError, FingerprintError,
                     load_checkpoint, train)
 # the benchmark's characterisation reads the batch stream tag from here
 from .model import TAG_BATCH  # noqa: F401
-from .scene import generate_scene, scene_to_dict
+from .scene import GenerationError, generate_scene, scene_to_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,8 +193,7 @@ def cmd_train(args) -> int:
 def _eval_kwargs(cfg: ExperimentConfig, c_thre=None) -> dict:
     e = cfg.eval
     return dict(noise_sigma=e.noise_sigma, c_thre=c_thre,
-                eval_seed=e.eval_seed, det_thre=e.det_thre,
-                fingerprint=fingerprint(cfg))
+                eval_seed=e.eval_seed, fingerprint=fingerprint(cfg))
 
 
 def cmd_eval(args) -> int:
@@ -292,7 +293,9 @@ def cmd_gen_scenes(args) -> int:
     cfg = _resolve_config(args)
     n = (cfg.eval.n_scenes if args.n is None
          else _checked(cfg.eval, "--n", "n_scenes", args.n).n_scenes)
-    seed0 = args.seed0 if args.seed0 is not None else cfg.eval.scene_seed0
+    seed0 = (cfg.eval.scene_seed0 if args.seed0 is None
+             else _checked(cfg.eval, "--seed0", "scene_seed0",
+                           args.seed0).scene_seed0)
     path = Path(args.out_file)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -451,7 +454,10 @@ def main(argv=None) -> int:
     except comms.DecodeError as e:
         print(f"decode error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as e:
+    except GenerationError as e:
+        print(f"scene generation error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:
         print(str(e), file=sys.stderr)
         return EXIT_CONFIG
 

@@ -55,6 +55,9 @@ class TrainConfig:
             raise ValueError("noise_sigma must be finite and >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        for name in ("seed", "scene_seed0"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -63,15 +66,15 @@ class EvalConfig:
     scene_seed0: int = 900000
     eval_seed: int = 0
     noise_sigma: float = 0.0
-    det_thre: float | None = None   # late-fusion send threshold; None = c_thre
 
     def validate(self) -> None:
         if self.n_scenes < 1:
             raise ValueError("n_scenes must be >= 1")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        if self.det_thre is not None and not (0.0 <= self.det_thre <= 1.0):
-            raise ValueError("det_thre must be in [0, 1] or null")
+        for name in ("scene_seed0", "eval_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -257,10 +257,15 @@ def _noise_rng(eval_seed: int, scene_seed: int) -> np.random.Generator:
 
 def evaluate_scene(model: PipelineModel, scene: Scene,
                    flags: PipelineFlags, *, noise_sigma: float = 0.0,
-                   eval_seed: int = 0, c_thre: float | None = None,
-                   det_thre: float | None = None
+                   eval_seed: int = 0, c_thre: float | None = None
                    ) -> tuple[list[Detection], CommLedger]:
-    """Detections in the ego frame plus the comm ledger for one scene."""
+    """Detections in the ego frame plus the comm ledger for one scene.
+
+    Collaborators send the instances, or under late fusion the detections,
+    whose confidence exceeds ``c_thre`` (None: the trained ``model.c_thre``).
+    """
+    if c_thre is None:
+        c_thre = model.cfg.c_thre
     rng = _noise_rng(eval_seed, scene.seed)
     fr = model_forward(model, scene, flags, wire=True,
                        noise_sigma=noise_sigma, noise_rng=rng,
@@ -268,8 +273,6 @@ def evaluate_scene(model: PipelineModel, scene: Scene,
     dets = rows_to_detections(decoded_rows(fr.preds, model.codec))
     ledger = fr.ledger
     if flags.late_fuse and len(scene.agents) > 1:
-        if det_thre is None:
-            det_thre = model.cfg.c_thre
         for j in range(1, len(scene.agents)):
             solo = model_forward(model, scene, FLAGS_SOLO, wire=True,
                                  detector_mode="infer", ego=j)
@@ -278,7 +281,7 @@ def evaluate_scene(model: PipelineModel, scene: Scene,
             # the detection transform must see the same noise realization
             t = relative_pose(scene.ego.pose, fr.believed[j])
             for n, r in enumerate(solo_rows):
-                if r[0] <= det_thre:
+                if r[0] <= c_thre:
                     continue
                 msg = DetectionMessage(agent_id=j, index=n,
                                        box=tuple(r[1:8]), confidence=r[0])
@@ -297,7 +300,6 @@ def evaluate_scenes(model: PipelineModel, scenes: list[Scene],
                     flags: PipelineFlags, *, label: str,
                     noise_sigma: float = 0.0, eval_seed: int = 0,
                     c_thre: float | None = None,
-                    det_thre: float | None = None,
                     fingerprint: str = "",
                     targets: dict[int, list[GtBox]] | None = None,
                     ) -> EvalReport:
@@ -314,7 +316,7 @@ def evaluate_scenes(model: PipelineModel, scenes: list[Scene],
     for scene in scenes:
         dets, ledger = evaluate_scene(
             model, scene, flags, noise_sigma=noise_sigma, eval_seed=eval_seed,
-            c_thre=c_thre, det_thre=det_thre)
+            c_thre=c_thre)
         gts = (targets[scene.seed] if targets is not None
                else ego_frame_targets(scene, model.spec, model.cfg.vis_min))
         n_gt += len(gts)

@@ -41,10 +41,6 @@ class Pose:
         for f in ("x", "y", "z"):
             object.__setattr__(self, f, float(getattr(self, f)))
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Pose of b's frame seen from a's parent frame (apply b, then a)."""
@@ -67,7 +63,7 @@ def relative_pose(a: Pose, b: Pose) -> Pose:
     """b expressed in a's frame, differencing translations before rotating.
 
     Equivalent to compose(invert(a), b) but exact under shared-origin shifts:
-    the world offset cancels in (b.t - a.t) before any rounding rotation.
+    the world offset cancels in the difference before any rounding rotation.
     """
     dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
     c, s = math.cos(a.yaw), math.sin(a.yaw)

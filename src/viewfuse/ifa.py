@@ -76,7 +76,8 @@ class BevGridSpec:
 
 @dataclass
 class BevView:
-    """One feature map the BEV queries may attend to.
+    """One feature map the BEV queries may attend to; a missing camera
+    view has none, so no ``BevView`` stands for it.
 
     ``mask`` marks cells that actually carry content: a collaborator view
     carries the mask ``comms.reconstruct_view`` rebuilt from what it sent,
@@ -89,7 +90,6 @@ class BevView:
     agent_pose_in_ego: Pose
     agent_id: int
     view_id: int
-    valid: bool = True
     mask: np.ndarray | None = None
 
 
@@ -186,8 +186,7 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
     """
     refs = spec.reference_points()
     seen = []
-    for view in sorted((v for v in views if v.valid),
-                       key=lambda v: (v.agent_id, v.view_id)):
+    for view in sorted(views, key=lambda v: (v.agent_id, v.view_id)):
         uv, _, ok = project_points(refs, view.cam, view.agent_pose_in_ego)
         if view.mask is not None:
             fh, fw = view.mask.shape

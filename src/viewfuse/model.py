@@ -10,7 +10,9 @@ sender's differentiable feature map, multiplied by the mask, so gradients
 reach the shared encoder; inference pushes real bytes through the wire
 codec and uses the receiver's rebuilt map. Both take the mask from
 ``reconstruct_view`` on the sent stream and cut every shared crop with the
-same ``crop_bounds``, so the two paths select identical cells.
+same ``crop_bounds``, so the two paths select identical cells. A missing
+camera view is never rendered: each agent contributes a ``BevView`` only
+for the views its rig has.
 """
 from __future__ import annotations
 
@@ -236,7 +238,7 @@ def _collab_view(model: PipelineModel, scene: Scene, j: int, k: int,
                                      agent_pose_in_ego=pose_in_ego,
                                      crop=src[:, r0:r1, c0:c1]))
     view = BevView(features=feats, cam=cam, agent_pose_in_ego=pose_in_ego,
-                   agent_id=j, view_id=k, valid=True, mask=mask_arr)
+                   agent_id=j, view_id=k, mask=mask_arr)
     return view, shared
 
 
@@ -290,11 +292,11 @@ def model_forward(model: PipelineModel, scene: Scene,
     views: list[BevView] = []
     shared: list[SharedInstance] = []
     for k in range(scene.cfg.n_cams):
-        fmap = render_view_features(scene, ego, k, model.enc)
-        views.append(BevView(features=fmap, cam=ego_rig.cams[k],
-                             agent_pose_in_ego=Pose(0.0, 0.0, 0.0, 0.0),
-                             agent_id=ego, view_id=k,
-                             valid=ego_rig.view_valid[k], mask=None))
+        if ego_rig.view_valid[k]:
+            views.append(BevView(
+                features=render_view_features(scene, ego, k, model.enc),
+                cam=ego_rig.cams[k], agent_pose_in_ego=Pose(),
+                agent_id=ego, view_id=k))
     if flags.ifa:
         for j in range(len(scene.agents)):
             if j == ego:

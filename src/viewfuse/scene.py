@@ -85,6 +85,10 @@ class SceneConfig:
             raise ValueError("noise magnitudes must be >= 0")
         if not (0.0 <= self.missing_view_prob < 1.0):
             raise ValueError("missing_view_prob must be in [0, 1)")
+        if self.focal_px <= 0:
+            raise ValueError("focal_px must be > 0")
+        if self.scene_retries < 1:
+            raise ValueError("scene_retries must be >= 1")
 
     @property
     def pix_w(self) -> int:
@@ -323,7 +327,7 @@ def object_signature(seed: int, obj_id: int, feat_c: int) -> np.ndarray:
 
 
 def render_raw(scene: Scene, agent_idx: int, view_idx: int) -> np.ndarray:
-    """Pre-encoder signature map [feat_c, feat_h, feat_w]; zeros for invalid views.
+    """Pre-encoder signature map [feat_c, feat_h, feat_w] of a view that exists.
 
     Cached on the scene: the map is a pure function of (scene, agent, view),
     noise included, so repeated training passes pay the raster cost once.
@@ -333,10 +337,6 @@ def render_raw(scene: Scene, agent_idx: int, view_idx: int) -> np.ndarray:
     if hit is not None:
         return hit
     cfg = scene.cfg
-    out = np.zeros((cfg.feat_c, cfg.feat_h, cfg.feat_w))
-    if not scene.agents[agent_idx].view_valid[view_idx]:
-        scene._rasters[key] = out
-        return out
     raster = rasterize_view(scene, agent_idx, view_idx)
     lut = np.zeros((len(scene.boxes) + 1, cfg.feat_c))
     for bi, box in enumerate(scene.boxes):
@@ -353,7 +353,7 @@ def render_raw(scene: Scene, agent_idx: int, view_idx: int) -> np.ndarray:
 def render_view_features(scene: Scene, agent_idx: int, view_idx: int,
                          encoder: Mlp) -> Tensor:
     """Raster -> signatures -> pixel noise -> pointwise encoder MLP: the
-    encoded [C, feat_h, feat_w] map (zero signatures for an invalid view)."""
+    encoded [C, feat_h, feat_w] map of a view that exists."""
     cfg = scene.cfg
     raw = render_raw(scene, agent_idx, view_idx)
     cells = Tensor(raw.reshape(cfg.feat_c, cfg.feat_h * cfg.feat_w).T)
@@ -387,8 +387,6 @@ def detect_instances_2d(scene: Scene, agent_idx: int, view_idx: int,
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown detector mode {mode!r}")
     cfg = scene.cfg
-    if not scene.agents[agent_idx].view_valid[view_idx]:
-        return []
     raster = rasterize_view(scene, agent_idx, view_idx)
     if mode == "infer":
         rng = np.random.default_rng(

@@ -113,8 +113,7 @@ def reference_block_forward(block, q: Tensor, views, spec) -> Tensor:
     nq = layer_norm(qf, block.ln1_g, block.ln1_b)
     off, wts = offsets_and_weights(block, nq)
     refs = spec.reference_points()
-    active = sorted((v for v in views if v.valid),
-                    key=lambda v: (v.agent_id, v.view_id))
+    active = sorted(views, key=lambda v: (v.agent_id, v.view_id))
     h_sum = None
     h_cnt = np.zeros(hw)
     for h in range(spec.n_ref):

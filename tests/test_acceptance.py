@@ -262,7 +262,7 @@ def test_unobserved_cells_are_bit_identical_under_view_corruption():
                                          target.features.data.shape)),
             cam=target.cam, agent_pose_in_ego=target.agent_pose_in_ego,
             agent_id=target.agent_id, view_id=target.view_id,
-            valid=target.valid, mask=target.mask)
+            mask=target.mask)
         other = [wrecked if j == k else v for j, v in enumerate(views)]
         out = ifa_cascade(model.q0, other, model.spec, model.blocks).data
         c = base.shape[0]
@@ -494,7 +494,7 @@ def test_cli_train_and_eval_are_byte_deterministic(tmp_path, capsys):
                   "grid_w": 16, "resolution": 1.9, "n_q": 24, "n_blocks": 1,
                   "n_dec_layers": 1},
         "train": {"steps": 4, "batch": 2, "n_scenes": 5, "seed": 3},
-        "eval": {"n_scenes": 2, "det_thre": 0.05},
+        "eval": {"n_scenes": 2},
     }
     outs = []
     for run in ("a", "b"):

@@ -32,7 +32,7 @@ def cfg_dict(out_dir, **over):
                   "grid_w": 16, "resolution": 1.9, "n_q": 24, "n_blocks": 1,
                   "n_dec_layers": 1},
         "train": {"steps": 3, "batch": 2, "n_scenes": 5, "seed": 3},
-        "eval": {"n_scenes": 2, "det_thre": 0.05},
+        "eval": {"n_scenes": 2},
         "out_dir": str(out_dir),
     }
     for sec, kv in over.items():
@@ -126,6 +126,43 @@ def test_config_keys_match_formats_doc():
     assert set(example) == set(d)
     for name in ("train", "eval"):      # the sections the doc spells out
         assert set(example[name]) == set(d[name])
+
+
+@pytest.mark.parametrize("section, named", [
+    ({"train": {"seed": -1}}, "train: seed must be >= 0"),
+    ({"train": {"scene_seed0": -1}}, "train: scene_seed0 must be >= 0"),
+    ({"eval": {"scene_seed0": -1}}, "eval: scene_seed0 must be >= 0"),
+    ({"eval": {"eval_seed": -1}}, "eval: eval_seed must be >= 0"),
+    ({"scene": {"scene_retries": 0}}, "scene: scene_retries must be >= 1"),
+    ({"scene": {"focal_px": 0.0}}, "scene: focal_px must be > 0"),
+    # the send threshold is model.c_thre for every pipeline; a config.json
+    # written while eval.det_thre existed holds it as null
+    ({"eval": {"det_thre": None}}, "eval.det_thre"),
+])
+def test_config_values_outside_the_field_rules_exit_2(tmp_path, capsys,
+                                                      section, named):
+    p = write_cfg(tmp_path, "c.json", cfg_dict(tmp_path / "run", **section))
+    assert main(["train", "--config", str(p)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_scene_the_generator_cannot_build_exits_2(tmp_path, capsys):
+    p = write_cfg(tmp_path, "c.json", cfg_dict(
+        tmp_path / "run", scene={"range_m": 5.0, "n_objects_min": 40,
+                                 "n_objects_max": 40}))
+    assert main(["gen-scenes", "--config", str(p), str(tmp_path / "s.jsonl"),
+                 "--n", "1", "--seed0", "77"]) == 2
+    err = capsys.readouterr().err
+    assert "scene 77:" in err and "after 20 attempts" in err
+
+
+def test_an_out_dir_that_cannot_be_made_exits_2(trained, tmp_path, capsys):
+    cp, _ = trained
+    (tmp_path / "FILE").write_text("")
+    out = tmp_path / "FILE" / "x"
+    assert main(["train", "--config", str(cp), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_train_and_eval_seed_ranges_must_not_overlap(tmp_path):
@@ -346,6 +383,21 @@ def test_sweep_runs_the_chosen_pipeline(trained, tmp_path, capsys):
         assert n_bytes % comms.DETECTION_MESSAGE_BYTES == 0
 
 
+def test_late_sweep_prices_the_send_threshold(trained, tmp_path, capsys):
+    # late fusion sends the detections above the one send threshold, so a
+    # c_thre sweep across their confidences moves its bytes
+    cp, run = trained
+    assert main(["eval", "--config", str(cp), "--pipeline", "late",
+                 "--checkpoint", str(run / "checkpoint.npz"),
+                 "--out", str(tmp_path), "--sweep", "c_thre", "0,1"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "sweep_late_c_thre.csv", newline="") as f:
+        sent = [int(row["total_bytes"]) for row in csv.DictReader(f)]
+    assert sent[0] > 0
+    assert sent[0] % comms.DETECTION_MESSAGE_BYTES == 0
+    assert sent[1] == 0
+
+
 def test_sweeps_of_two_pipelines_share_a_directory(trained, tmp_path, capsys):
     # file names and labels carry the pipeline, so one sweep never
     # overwrites another pipeline's table or reports
@@ -393,6 +445,9 @@ def test_sweep_agents_beyond_the_scene_roster(trained, capsys):
     (["eval", "--sweep", "agents", "inf"], '"agents"'),
     (["eval", "--sweep", "agents", "1.5"], '"agents"'),
     (["gen-scenes", "scenes.jsonl", "--n", "-2"], "--n"),
+    (["gen-scenes", "scenes.jsonl", "--seed0", "-5"], "--seed0"),
+    (["train", "--seed", "-1"], "--seed"),
+    (["show-config", "--seed", "-1"], "--seed"),
 ])
 def test_values_outside_the_config_rules_exit_2(trained, tmp_path, capsys,
                                                 argv, named):
@@ -400,11 +455,12 @@ def test_values_outside_the_config_rules_exit_2(trained, tmp_path, capsys,
     # stands for, and a refusal names the option or the sweep axis before
     # anything is loaded or written
     cp, run = trained
-    if argv[0] == "eval":
-        argv = [*argv, "--out", str(tmp_path / "out"),
-                "--checkpoint", str(run / "checkpoint.npz")]
-    else:
+    if argv[0] == "gen-scenes":
         argv = [argv[0], str(tmp_path / argv[1]), *argv[2:]]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    if argv[0] == "eval":
+        argv += ["--checkpoint", str(run / "checkpoint.npz")]
     assert main([*argv, "--config", str(cp)]) == 2
     assert named in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

@@ -486,7 +486,7 @@ def test_late_fusion_bytes_are_pure_detections(rig):
     model, scenes = rig
     # untrained confidences sit near sigmoid(-2), below the default send
     # threshold; lower it so the collaborators actually transmit
-    r = run_late_fusion(model, scenes, det_thre=0.05)
+    r = run_late_fusion(model, scenes, c_thre=0.05)
     assert r.total_bytes > 0
     assert r.total_bytes % 41 == 0
 

@@ -28,12 +28,12 @@ def _ring_cam(k=0):
 
 
 def _view(features, yaw=0.0, agent_id=0, view_id=0, cam=None, pose=None,
-          mask=None, valid=True):
+          mask=None):
     return BevView(features=features if isinstance(features, Tensor)
                    else Tensor(features),
                    cam=cam if cam is not None else _ring_cam(),
                    agent_pose_in_ego=pose if pose is not None else Pose(yaw=yaw),
-                   agent_id=agent_id, view_id=view_id, valid=valid, mask=mask)
+                   agent_id=agent_id, view_id=view_id, mask=mask)
 
 
 # ---- grid spec ----
@@ -254,10 +254,6 @@ def test_block_zero_views_is_identity():
     q0 = rng.normal(size=(5, 6, 6))
     out = ifa_block_forward(block, Tensor(q0), [], spec)
     np.testing.assert_array_equal(out.data, q0)
-    # invalid views are skipped the same way
-    dead = _view(rng.normal(size=(5, 20, 32)), valid=False)
-    out2 = ifa_block_forward(block, Tensor(q0), [dead], spec)
-    np.testing.assert_array_equal(out2.data, q0)
 
 
 def test_block_constant_view_gives_uniform_update():

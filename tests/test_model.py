@@ -9,6 +9,7 @@ from viewfuse import model as model_mod
 from viewfuse.model import (
     CheckpointError,
     FLAGS_FULL,
+    FLAGS_LATE,
     FLAGS_SOLO,
     PipelineFlags,
     PipelineModel,
@@ -21,6 +22,7 @@ from viewfuse.model import (
 )
 from viewfuse.comms import INSTANCE_HEADER_BYTES
 from viewfuse.decoder import set_loss
+from viewfuse.eval import evaluate_scene
 from viewfuse.geometry import apply_pose, invert
 from viewfuse.scene import generate_scene, truncate_scene
 from viewfuse.tensor import Adam, Tensor
@@ -116,6 +118,10 @@ def test_invalid_collaborator_views_are_never_rendered(monkeypatch):
     for wire in (False, True):
         model_forward(model, scene, FLAGS_FULL, wire=wire)
     every = {(j, k) for j in range(3) for k in range(scene.cfg.n_cams)}
+    assert set(calls) == every - invalid
+    # late fusion's solo forwards make each collaborator the ego in turn
+    calls.clear()
+    evaluate_scene(model, scene, FLAGS_LATE)
     assert set(calls) == every - invalid
 
 
