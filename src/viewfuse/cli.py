@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import struct
 import sys
@@ -113,10 +114,16 @@ def _parse_values(spec: str, axis: str, integer: bool = False) -> list:
     return [int(round(v)) for v in vals] if integer else vals
 
 
-def _scenes(cfg: ExperimentConfig, section) -> list:
-    """The scene range of the train or eval section."""
-    return [generate_scene(cfg.scene, section.scene_seed0 + i)
-            for i in range(section.n_scenes)]
+def _scenes(cfg: ExperimentConfig, section, log=None) -> list:
+    """The scene range of the train or eval section; ``log`` gets one line
+    with the time it took."""
+    t0 = time.perf_counter()
+    seed0, n = section.scene_seed0, section.n_scenes
+    scenes = [generate_scene(cfg.scene, seed0 + i) for i in range(n)]
+    if log is not None:
+        log(f"generated {n} scenes (seeds {seed0}..{seed0 + n - 1}) in "
+            f"{time.perf_counter() - t0:.2f} s")
+    return scenes
 
 
 def _train(cfg: ExperimentConfig, scenes: list, flags: PipelineFlags,
@@ -182,7 +189,7 @@ def cmd_train(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = _sidecar_logger(out / "run.log")
-    _train(cfg, _scenes(cfg, cfg.train), FLAGS_FULL, out, "", log)
+    _train(cfg, _scenes(cfg, cfg.train, log), FLAGS_FULL, out, "", log)
     save_config(cfg, out / "config.json")
     print(f"trained {cfg.train.steps} steps "
           f"(fingerprint {fingerprint(cfg)}, seed {cfg.train.seed})")
@@ -276,13 +283,13 @@ def cmd_ablate(args) -> int:
             models[name] = _load_model(cfg, path, flags)
         elif args.train_missing:
             if train_scenes is None:
-                train_scenes = _scenes(cfg, cfg.train)
+                train_scenes = _scenes(cfg, cfg.train, log)
             models[name] = _train(cfg, train_scenes, flags, out, suffix, log)
         else:
             print(f"missing checkpoint for ladder row '{name}': {path}\n"
                   f"rerun with --train-missing to train it", file=sys.stderr)
             return EXIT_MISSING_CHECKPOINT
-    scenes = _scenes(cfg, cfg.eval)
+    scenes = _scenes(cfg, cfg.eval, log)
     reports = ablation_ladder(models, scenes, **_eval_kwargs(cfg))
     _write_csv(out / "ablation.csv", _report_csv_rows(reports))
     print(format_table(reports))
@@ -298,10 +305,18 @@ def cmd_gen_scenes(args) -> int:
                            args.seed0).scene_seed0)
     path = Path(args.out_file)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            scene = generate_scene(cfg.scene, seed0 + i)
-            fh.write(json.dumps(scene_to_dict(scene), sort_keys=True) + "\n")
+    # written beside the target and moved over it only when whole, so a
+    # failure leaves no partial file and an existing corpus as it was
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                scene = generate_scene(cfg.scene, seed0 + i)
+                fh.write(json.dumps(scene_to_dict(scene), sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"wrote {n} scenes (seeds {seed0}..{seed0 + n - 1}) to {path}")
     return EXIT_OK
 

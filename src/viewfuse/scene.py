@@ -437,17 +437,32 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-class _Placed:
-    """A box under placement: its circumscribed radius and, once read, its
-    corners.
+def _draws(rng: np.random.Generator, *bounds) -> list[float]:
+    """One ``_uniform`` per ``(lo, hi)`` in ``bounds``, in order, from one
+    ``rng.random(n)`` call: the same n doubles as n scalar draws."""
+    return [lo + (hi - lo) * u
+            for (lo, hi), u in zip(bounds, rng.random(len(bounds)).tolist())]
 
-    Whether two footprints share area is decided in two steps: centres
-    farther apart than the sum of the ``radius`` are apart, and
-    ``rects_overlap`` on the two boxes settles every other pair.
+
+ANGLE = (-math.pi, math.pi)
+CAR = (CAR_W, CAR_L, CAR_H)
+TRUCK = (TRUCK_W, TRUCK_L, TRUCK_H)
+
+
+class _Placed:
+    """A placed box: its circumscribed radius and, once read, its corners.
+
+    An occlusion target goes through draw, candidate, ``clashes``, build,
+    ``_covers_fully``, ``admit``; a free box skips ``_covers_fully``. Each
+    attempt takes its uniforms in one ``_draws`` call and makes a ``_Cand``
+    of them. ``clashes`` tests that against every clearance and placed box,
+    first by centre distance against the sum of the ``radius`` and then by
+    ``rects_overlap``. Only a candidate that clashes with nothing is built
+    into a ``GtBox`` and a ``_Placed``, whose corners the bearing tests of
+    ``_covers_fully`` and ``admit`` read.
 
     ``pts``, the ``rect_corners`` output as Python floats, feeds the bearing
-    spans. It is computed the first time it is read, so the overlap tests
-    never pay for it.
+    spans. It is computed the first time it is read.
     """
 
     __slots__ = ("box", "radius", "_pts")
@@ -464,19 +479,29 @@ class _Placed:
         return self._pts
 
 
+class _Cand:
+    """A drawn box, not yet built: centre and yaw snapped as a ``GtBox``
+    stores them, its size and its circumscribed radius. It has every field
+    ``rects_overlap`` reads."""
+
+    __slots__ = ("x", "y", "w", "l", "h", "yaw", "radius")
+
+    def __init__(self, x, y, yaw, w, l, h):
+        self.x, self.y = _snap(x), _snap(y)
+        self.yaw = _snap(normalize_angle(yaw), YAW_SNAP)
+        self.w, self.l, self.h = w, l, h
+        self.radius = math.hypot(w, l) / 2.0
+
+    def build(self, obj_id: int, occluded: bool = False) -> _Placed:
+        return _Placed(GtBox(obj_id=obj_id, x=self.x, y=self.y, z=self.h / 2.0,
+                             w=self.w, l=self.l, h=self.h, yaw=self.yaw,
+                             occluded=occluded))
+
+
 def _agent_clearance(pose: Pose) -> _Placed:
     """The rectangle around an agent that no box or other agent may enter."""
     return _Placed(GtBox(obj_id=-1, x=pose.x, y=pose.y, z=0.0, w=AGENT_CLEAR_W,
                          l=AGENT_CLEAR_L, h=0.0, yaw=pose.yaw))
-
-
-def _sample_box(rng, obj_id, x, y, yaw, kind) -> _Placed:
-    w_rng, l_rng, h_rng = (CAR_W, CAR_L, CAR_H) if kind == "car" else (TRUCK_W, TRUCK_L, TRUCK_H)
-    w = _uniform(rng, *w_rng)
-    l = _uniform(rng, *l_rng)
-    h = _uniform(rng, *h_rng)
-    return _Placed(GtBox(obj_id=obj_id, x=_snap(x), y=_snap(y), z=h / 2.0, w=w, l=l, h=h,
-                         yaw=_snap(normalize_angle(yaw), YAW_SNAP)))
 
 
 def _bearing_span(origin: tuple[float, float], corners, ref: float):
@@ -602,14 +627,13 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     # per protected target: collaborator indices with an unshadowed sight line
     clear_sets: list[list[int]] = []
 
-    def clashes(cand: _Placed) -> bool:
-        # the two steps of ``_Placed``, the radius cull inline
-        box = cand.box
-        x, y, r = box.x, box.y, cand.radius
+    def clashes(cand: _Cand) -> bool:
+        # the two tests of ``_Placed``, the radius cull inline
+        x, y, r = cand.x, cand.y, cand.radius
         for others in (clearances, boxes):
             for b in others:
                 if (math.hypot(x - b.box.x, y - b.box.y) <= r + b.radius
-                        and rects_overlap(box, b.box)):
+                        and rects_overlap(cand, b.box)):
                     return True
         return False
 
@@ -652,59 +676,66 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
             clear_sets.append(cs_new)
         return True
 
-    occluders: list[_Placed] = []
+    # per occluder in place: the occluder, the band of target distances
+    # behind it, its bearing from the ego and its bearing span about that
+    shadows: list[tuple] = []
+    far = cfg.range_m - 1.5
+    ex, ey = ego_xy
     placed_targets = 0
     for _t in range(n_occluded):
         need = n_occluded - placed_targets
         for _attempt in range(400):
             slots = n_obj - len(boxes)
             can_fresh = slots >= need + 1   # a fresh pair costs two box slots
-            if not can_fresh and not occluders:
+            if not can_fresh and not shadows:
                 break
-            if occluders and (not can_fresh or rng.random() < 0.5):
+            if shadows and (not can_fresh or rng.random() < 0.5):
                 # hide another target behind an occluder already in place,
                 # anywhere inside its angular shadow
-                occ = occluders[int(rng.integers(len(occluders)))]
-                d_o = math.hypot(occ.box.x - ego_pose.x, occ.box.y - ego_pose.y)
-                lo = max(7.0, d_o / 0.62)
-                hi = min(cfg.range_m - 1.5, d_o / 0.30)
+                occ, lo, hi, bearing_o, o_lo, o_hi = shadows[
+                    int(rng.integers(len(shadows)))]
                 if lo >= hi:
                     continue
                 dt = _uniform(rng, lo, hi)
-                bearing_o = math.atan2(occ.box.y - ego_pose.y, occ.box.x - ego_pose.x)
-                o_lo, o_hi = _bearing_span(ego_xy, occ.pts, bearing_o)
                 th = math.asin(min(1.0, (CAR_RADIUS_MAX + 0.1) / dt)) + 0.02
                 if o_lo + th >= o_hi - th:
                     continue
-                phi = bearing_o + _uniform(rng, o_lo + th, o_hi - th)
-                tgt = _sample_box(rng, len(boxes), ego_pose.x + dt * math.cos(phi),
-                                  ego_pose.y + dt * math.sin(phi),
-                                  _uniform(rng, -math.pi, math.pi), "car")
-                tgt.box.occluded = True
-                if clashes(tgt) or not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
+                rel, yaw, w, l, h = _draws(rng, (o_lo + th, o_hi - th), ANGLE, *CAR)
+                phi = bearing_o + rel
+                cand = _Cand(ex + dt * math.cos(phi), ey + dt * math.sin(phi),
+                             yaw, w, l, h)
+                if clashes(cand):
+                    continue
+                tgt = cand.build(len(boxes), occluded=True)
+                if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                     continue
                 if not admit([tgt], tgt):
                     continue
                 placed_targets += 1
                 break
-            phi = _uniform(rng, -math.pi, math.pi)
-            dt = _uniform(rng, 7.0, cfg.range_m - 1.5)
-            tgt = _sample_box(rng, len(boxes) + 1, ego_pose.x + dt * math.cos(phi),
-                              ego_pose.y + dt * math.sin(phi),
-                              _uniform(rng, -math.pi, math.pi), "car")
-            tgt.box.occluded = True
-            do = dt * _uniform(rng, 0.30, 0.62)
+            phi, dt, yaw, *t_size, frac = _draws(rng, ANGLE, (7.0, far), ANGLE,
+                                                 *CAR, (0.30, 0.62))
+            do = dt * frac
             if do < 2.4:
                 continue
-            occ = _sample_box(rng, len(boxes), ego_pose.x + do * math.cos(phi),
-                              ego_pose.y + do * math.sin(phi),
-                              phi + math.pi / 2.0 + _uniform(rng, -0.25, 0.25), "truck")
-            if clashes(occ) or clashes(tgt) or rects_overlap(occ.box, tgt.box):
+            dyaw, *o_size = _draws(rng, (-0.25, 0.25), *TRUCK)
+            c, s = math.cos(phi), math.sin(phi)
+            o_cand = _Cand(ex + do * c, ey + do * s, phi + math.pi / 2.0 + dyaw,
+                           *o_size)
+            if clashes(o_cand):
                 continue
+            t_cand = _Cand(ex + dt * c, ey + dt * s, yaw, *t_size)
+            if clashes(t_cand) or rects_overlap(o_cand, t_cand):
+                continue
+            occ = o_cand.build(len(boxes))
+            tgt = t_cand.build(len(boxes) + 1, occluded=True)
             if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
                 continue
             if admit([occ, tgt], tgt):
-                occluders.append(occ)
+                d_o = math.hypot(occ.box.x - ex, occ.box.y - ey)
+                bearing_o = math.atan2(occ.box.y - ey, occ.box.x - ex)
+                shadows.append((occ, max(7.0, d_o / 0.62), min(far, d_o / 0.30),
+                                bearing_o, *_bearing_span(ego_xy, occ.pts, bearing_o)))
                 placed_targets += 1
                 break
     # tolerate a bounded shortfall: crowded draws may leave no legal spot
@@ -713,12 +744,10 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
 
     while len(boxes) < n_obj:
         for _attempt in range(300):
-            phi = _uniform(rng, -math.pi, math.pi)
-            d = _uniform(rng, 3.0, cfg.range_m - 1.5)
-            box = _sample_box(rng, len(boxes), ego_pose.x + d * math.cos(phi),
-                              ego_pose.y + d * math.sin(phi),
-                              _uniform(rng, -math.pi, math.pi), "car")
-            if not clashes(box) and admit([box], None):
+            phi, d, yaw, w, l, h = _draws(rng, ANGLE, (3.0, far), ANGLE, *CAR)
+            cand = _Cand(ex + d * math.cos(phi), ey + d * math.sin(phi),
+                         yaw, w, l, h)
+            if not clashes(cand) and admit([cand.build(len(boxes))], None):
                 break
         else:
             return "free box placement failed"

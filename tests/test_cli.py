@@ -157,6 +157,22 @@ def test_a_scene_the_generator_cannot_build_exits_2(tmp_path, capsys):
     assert "scene 77:" in err and "after 20 attempts" in err
 
 
+def test_a_failed_gen_scenes_keeps_the_existing_corpus(tmp_path, capsys):
+    good = write_cfg(tmp_path, "good.json", cfg_dict(tmp_path / "run"))
+    bad = write_cfg(tmp_path, "bad.json", cfg_dict(
+        tmp_path / "run", scene={"range_m": 5.0, "n_objects_min": 40,
+                                 "n_objects_max": 40}))
+    corpus = tmp_path / "corpus" / "s.jsonl"
+    assert main(["gen-scenes", "--config", str(good), str(corpus),
+                 "--n", "2", "--seed0", "77"]) == 0
+    before = corpus.read_bytes()
+    assert main(["gen-scenes", "--config", str(bad), str(corpus),
+                 "--n", "1", "--seed0", "77"]) == 2
+    assert "scene 77:" in capsys.readouterr().err
+    assert corpus.read_bytes() == before
+    assert os.listdir(corpus.parent) == ["s.jsonl"]
+
+
 def test_an_out_dir_that_cannot_be_made_exits_2(trained, tmp_path, capsys):
     cp, _ = trained
     (tmp_path / "FILE").write_text("")
@@ -185,8 +201,10 @@ def test_train_outputs(trained):
     assert steps == [0, 1, 2]
     for l in lines[1:]:
         assert np.isfinite(float(l.split(",")[1]))
-    # wall time lives only in the sidecar
-    assert (run / "run.log").read_text().count(":") >= 2
+    # wall time lives only in the sidecar, which also says where set-up went
+    log = (run / "run.log").read_text()
+    assert log.count(":") >= 2
+    assert re.search(r"generated 5 scenes \(seeds 1000\.\.1004\) in \d+\.\d\d s", log)
     assert (run / "config.json").exists()
 
 
@@ -528,6 +546,12 @@ def test_ablate_ladder_csv(tmp_path, monkeypatch, capsys):
     assert main(["ablate", "--config", str(cp)]) == 0
     capsys.readouterr()
     assert len(generated) == 2
+    # one run.log line per scene set generated, with its time
+    log = (tmp_path / "ab" / "run.log").read_text()
+    sets = re.findall(r"generated (\d+) scenes \(seeds (\d+)\.\.(\d+)\) in "
+                      r"\d+\.\d\d s", log)
+    assert sets == [("5", "1000", "1004"), ("2", "900000", "900001"),
+                    ("2", "900000", "900001")]
 
 
 def test_ablate_full_row_is_the_train_run(trained, tmp_path, capsys):
