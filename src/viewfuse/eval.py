@@ -93,30 +93,54 @@ def rotated_iou_bev(a, b) -> float:
 # ---- AP ----
 
 
-def near_pairs(a, b) -> np.ndarray:
-    """[len(a), len(b)] mask of the box pairs whose footprints can touch.
+IOU_MARGIN = 1e-6   # far above the clip's rounding of IoU (see iou_bounds)
 
-    A rectangle lies inside its circumcircle, radius hypot(w, l) / 2. Centres
-    farther apart than the two radii plus ``SAT_GAP`` metres therefore mean
-    disjoint footprints: the clip returns nothing and the IoU is exactly 0.0.
-    Every other pair, NaN distances included, is near. Raises on any box
-    with a non-positive size, as ``rotated_iou_bev`` would, near or not.
+
+def iou_bounds(a, b) -> np.ndarray:
+    """[len(a), len(b)] upper bounds on what ``rotated_iou_bev`` returns.
+
+    The intersection lies in the overlap of the boxes' projections on each
+    box's heading and normal (``rects_overlap``'s axes), so on either box's
+    axes the product of the two overlaps, each padded by 2 * ``SAT_GAP`` and
+    floored at 0, bounds its area. Counted at most at the smaller area in
+    the union, that bounds the exact IoU, and ``IOU_MARGIN`` on top covers
+    the clip's rounding: at |coords| < 100 m its intersection was within
+    7.5e-12 m^2 of exact over 3,400 random pairs, far below ``IOU_MARGIN``
+    times the union of boxes of 1e-3 m^2 or more. A bound of 0.0 is a gap
+    past ``rects_overlap``'s apart band, where the clip returns nothing.
+    NaN or infinite coordinates give NaN, which settles nothing. Raises on
+    a non-positive size, as ``rotated_iou_bev`` would, however far apart.
     """
-    pa, pb = (np.array([(r.x, r.y, r.w, r.l) for r in boxes],
-                       dtype=np.float64).reshape(-1, 4) for boxes in (a, b))
-    if (pa[:, 2:] <= 0.0).any() or (pb[:, 2:] <= 0.0).any():
+    pa, pb = (np.array([(r.x, r.y, r.w, r.l, r.yaw) for r in boxes],
+                       dtype=np.float64).reshape(-1, 5) for boxes in (a, b))
+    if (pa[:, 2:4] <= 0.0).any() or (pb[:, 2:4] <= 0.0).any():
         raise ValueError("boxes need positive sizes")
-    reach = (0.5 * np.hypot(pa[:, 2], pa[:, 3])[:, None]
-             + 0.5 * np.hypot(pb[:, 2], pb[:, 3])[None, :] + SAT_GAP)
-    dist = np.hypot(pa[:, None, 0] - pb[None, :, 0],
-                    pa[:, None, 1] - pb[None, :, 1])
-    return ~(dist > reach)
+    ax, ay, aw, al, ayaw = pa.T[:, :, None]
+    bx, by, bw, bl, byaw = pb.T[:, None, :]
+    ac, as_, bc, bs = np.cos(ayaw), np.sin(ayaw), np.cos(byaw), np.sin(byaw)
+    tx, ty = bx - ax, by - ay
+    cos_ab, sin_ab = np.abs(ac * bc + as_ * bs), np.abs(as_ * bc - ac * bs)
+
+    def overlap(p, q, d):   # of lengths p and q, centres d apart
+        ov = np.minimum(np.minimum(p, q), 0.5 * (p + q) - np.abs(d))
+        return np.maximum(ov + 2.0 * SAT_GAP, 0.0)
+
+    with np.errstate(invalid="ignore"):
+        inter = np.minimum(
+            overlap(al, bl * cos_ab + bw * sin_ab, tx * ac + ty * as_)
+            * overlap(aw, bl * sin_ab + bw * cos_ab, ty * ac - tx * as_),
+            overlap(bl, al * cos_ab + aw * sin_ab, tx * bc + ty * bs)
+            * overlap(bw, al * sin_ab + aw * cos_ab, ty * bc - tx * bs))
+        small = np.minimum(aw * al, bw * bl)
+        iou = inter / (aw * al + bw * bl - np.minimum(inter, small))
+        return iou + IOU_MARGIN * (inter != 0.0)
 
 
-def iou_matrix(a, b, iou_fn) -> np.ndarray:
-    """[len(a), len(b)] IoU: ``iou_fn`` on near pairs, 0.0 on the rest."""
+def iou_matrix(a, b, iou_fn, floor: float = 0.0) -> np.ndarray:
+    """[len(a), len(b)] IoU: ``iou_fn`` where ``iou_bounds`` exceed ``floor``
+    or are NaN, 0.0 on the rest, which cannot exceed ``floor``."""
     out = np.zeros((len(a), len(b)))
-    for i, j in np.argwhere(near_pairs(a, b)).tolist():
+    for i, j in np.argwhere(~(iou_bounds(a, b) <= floor)).tolist():
         out[i, j] = iou_fn(a[i], b[j])
     return out
 
@@ -127,12 +151,12 @@ def match_detections(dets: list[Detection], gts: list[GtBox],
 
     Each GT is claimed at most once per threshold. Returns, keyed by
     threshold, a true/false flag per detection in the original order. One
-    det x GT IoU matrix serves every threshold; ``iou_fn`` must be 0 on
-    boxes whose circumcircles are apart, which ``iou_matrix`` skips. A
-    detection whose best IoU with any GT is below a threshold cannot match
-    there and skips the search.
+    det x GT IoU matrix serves every threshold; it calls ``iou_fn`` only
+    where ``iou_bounds`` exceed the lowest one, so ``iou_fn`` must not
+    exceed the bound. A detection whose best IoU with any GT is below a
+    threshold cannot match there and skips the search.
     """
-    iou = iou_matrix(dets, gts, iou_fn)
+    iou = iou_matrix(dets, gts, iou_fn, IOU_THRESHOLDS[0])
     best = iou.max(axis=1, initial=-np.inf).tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     out = {}
@@ -174,14 +198,14 @@ def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
 def nms_rotated(dets: list[Detection], iou_thr: float = NMS_IOU) -> list[Detection]:
     """Confidence-descending greedy suppression with rotated IoU.
 
-    Only near pairs (``near_pairs``) reach the clip; the rest have IoU 0.
+    Only pairs whose ``iou_bounds`` exceed ``iou_thr`` reach the clip.
     """
-    near = near_pairs(dets, dets).tolist()
+    need = (~(iou_bounds(dets, dets) <= iou_thr)).tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     keep: list[int] = []
     for i in order:
         if all(rotated_iou_bev(dets[i], dets[j]) <= iou_thr
-               for j in keep if near[i][j]):
+               for j in keep if need[i][j]):
             keep.append(i)
     return [dets[i] for i in sorted(keep)]
 

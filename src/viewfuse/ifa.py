@@ -9,8 +9,9 @@ through untouched.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -171,41 +172,33 @@ class Sightings:
     uv: np.ndarray            # [M, 2] feature coords of each triple
     view: np.ndarray          # [M] index into maps
     cell: np.ndarray          # [M]
-    cell_rows: Rows           # ``cell`` for take_rows, one VJP matrix per cascade
+    cell_rows: Rows           # ``cell`` for take_rows, its VJP matrix built once
     v_inv: np.ndarray         # [n_ref, H*W] 1 / observing views, 0 if none
     h_inv: np.ndarray         # [H*W] 1 / observed heights, 0 if none
     v_sum: csr_matrix         # [n_ref*H*W, M] ones: row (height, cell) sums its views
     coef: np.ndarray          # [M] v_inv[height, cell] * h_inv[cell]
 
 
-def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
-    """Project the reference points into every valid view.
+@functools.lru_cache(maxsize=64)
+def _own_rig_projection(cam: CameraModel, spec: BevGridSpec):
+    uv, _, ok = project_points(spec.reference_points(), cam, Pose())
+    uv.flags.writeable = ok.flags.writeable = False
+    return uv, ok
 
-    A point counts as observed where it projects inside the view and, for a
-    masked view, onto a masked-in cell (see ``BevView``).
-    """
-    refs = spec.reference_points()
-    seen = []
-    for view in sorted(views, key=lambda v: (v.agent_id, v.view_id)):
-        uv, _, ok = project_points(refs, view.cam, view.agent_pose_in_ego)
-        if view.mask is not None:
-            fh, fw = view.mask.shape
-            cols = np.clip(np.rint(uv[..., 0]).astype(np.intp), 0, fw - 1)
-            rows = np.clip(np.rint(uv[..., 1]).astype(np.intp), 0, fh - 1)
-            ok = ok & view.mask[rows, cols]
-        if ok.any():
-            seen.append((as_tensor(view.features), uv, ok))
-    obs = np.zeros((spec.n_ref, len(seen), refs.shape[1]), dtype=bool)
+
+def _geometry(proj: list, spec: BevGridSpec) -> Sightings:
+    """Sightings but ``maps`` from the (uv, ok) of each view."""
+    seen = [p for p in proj if p[1].any()]
+    n_cells = spec.grid_h * spec.grid_w
+    obs = np.zeros((spec.n_ref, len(seen), n_cells), dtype=bool)
     uv = np.zeros(obs.shape + (2,))
-    for k, (_, uv_k, ok) in enumerate(seen):
+    for k, (uv_k, ok) in enumerate(seen):
         obs[:, k], uv[:, k] = ok, uv_k
     height, view, cell = np.nonzero(obs)
     v_cnt = obs.sum(axis=1)
     h_cnt = (v_cnt > 0).sum(axis=0)
-    maps = concat([f.reshape((1,) + f.shape) for f, _, _ in seen]) \
-        if seen else None
     # a stable sort keeps each row's columns, its views, in sorted order
-    rows = height * refs.shape[1] + cell
+    rows = height * n_cells + cell
     v_sum = csr_matrix((np.ones(rows.size),
                         np.argsort(rows, kind="stable").astype(np.int32),
                         np.concatenate([np.zeros(1, np.int32),
@@ -213,9 +206,49 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
                        shape=(v_cnt.size, rows.size))
     v_inv = np.where(v_cnt > 0, 1.0 / np.maximum(v_cnt, 1), 0.0)
     h_inv = np.where(h_cnt > 0, 1.0 / np.maximum(h_cnt, 1), 0.0)
-    return Sightings(maps=maps, uv=uv[height, view, cell], view=view, cell=cell,
+    return Sightings(maps=None, uv=uv[height, view, cell], view=view, cell=cell,
                      cell_rows=Rows(cell), v_inv=v_inv, h_inv=h_inv, v_sum=v_sum,
                      coef=v_inv[height, cell] * h_inv[cell])
+
+
+@functools.lru_cache(maxsize=64)
+def _own_rig_geometry(spec: BevGridSpec, cams: tuple) -> Sightings:
+    geo = _geometry([_own_rig_projection(cam, spec) for cam in cams], spec)
+    for a in (geo.uv, geo.view, geo.cell, geo.v_inv, geo.h_inv, geo.coef,
+              geo.v_sum.data, geo.v_sum.indices, geo.v_sum.indptr):
+        a.flags.writeable = False
+    return geo
+
+
+def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
+    """Project the reference points into every valid view.
+
+    A point counts as observed where it projects inside the view and, for a
+    masked view, onto a masked-in cell (see ``BevView``). An unmasked view
+    at the ego's own pose sees alike in every scene: its (uv, ok) is cached
+    per (camera, spec), and a set of only such views takes its geometry from
+    a cache keyed by (spec, cameras), read-only, ``maps`` built per call.
+    """
+    views = sorted(views, key=lambda v: (v.agent_id, v.view_id))
+    own = [v.mask is None and v.agent_pose_in_ego == Pose() for v in views]
+    refs = None if all(own) else spec.reference_points()
+    proj = []
+    for view, o in zip(views, own):
+        if o:
+            proj.append(_own_rig_projection(view.cam, spec))
+            continue
+        uv, _, ok = project_points(refs, view.cam, view.agent_pose_in_ego)
+        if view.mask is not None:
+            fh, fw = view.mask.shape
+            cols = np.clip(np.rint(uv[..., 0]).astype(np.intp), 0, fw - 1)
+            rows = np.clip(np.rint(uv[..., 1]).astype(np.intp), 0, fh - 1)
+            ok = ok & view.mask[rows, cols]
+        proj.append((uv, ok))
+    geo = (_own_rig_geometry(spec, tuple(v.cam for v in views)) if all(own)
+           else _geometry(proj, spec))
+    fs = [as_tensor(v.features) for v, p in zip(views, proj) if p[1].any()]
+    maps = concat([f.reshape((1,) + f.shape) for f in fs]) if fs else None
+    return replace(geo, maps=maps)
 
 
 def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:

@@ -8,7 +8,7 @@ did; the library's versions must give the same bits.
 ``match_detections`` and ``nms_rotated`` are the all-pairs loops: every
 detection is compared with every free GT (or every kept detection) through
 the exact ``rotated_iou_bev``, with no cull. The library's versions skip
-pairs whose circumcircles are apart and share one IoU matrix across
+pairs whose ``iou_bounds`` settle them and share one IoU matrix across
 thresholds; their decisions must equal these loops exactly.
 """
 from __future__ import annotations

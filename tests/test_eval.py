@@ -11,6 +11,7 @@ import pytest
 
 import viewfuse.eval
 from viewfuse.eval import (
+    IOU_MARGIN,
     IOU_THRESHOLDS,
     NMS_IOU,
     PIPELINES,
@@ -21,9 +22,9 @@ from viewfuse.eval import (
     detection_to_frame,
     evaluate_scene,
     evaluate_scenes,
+    iou_bounds,
     iou_matrix,
     match_detections,
-    near_pairs,
     nms_rotated,
     rotated_iou_bev,
     rows_to_detections,
@@ -241,7 +242,9 @@ def test_corners_once_per_box(rig, monkeypatch):
     monkeypatch.setattr(viewfuse.eval, "rect_corners", counting)
     nms_rotated(dets)
     match_detections(dets, gts)
-    n_pairs = int(near_pairs(dets, dets).sum() + near_pairs(dets, gts).sum())
+    # the pairs the screen admits to the clip
+    n_pairs = int((iou_bounds(dets, dets) > NMS_IOU).sum()
+                  + (iou_bounds(dets, gts) > IOU_THRESHOLDS[0]).sum())
     assert len(calls) <= len(dets) + len(gts) < n_pairs
     # a second pass over the same boxes reuses every corner
     first = len(calls)
@@ -367,14 +370,14 @@ def test_matching_and_nms_equal_the_all_pairs_reference():
             assert [id(d) for d in kept] == [
                 id(d) for d in ref.nms_rotated(dets, thr)]
             n_suppressed += len(dets) - len(kept)
-        n_far += int((~near_pairs(dets, dets)).sum())
-    # the clusters exercise matches, suppression and the cull
+        n_far += int((iou_bounds(dets, dets) <= NMS_IOU).sum())
+    # the clusters exercise matches, suppression and the screen
     assert n_tp > 500 and n_suppressed > 500 and n_far > 5000
 
 
 def test_cull_is_exact_at_corner_contact():
-    """Diagonals on the centre line, corner to corner: the pair at which the
-    circumcircle bound is tight. Culled or not, the IoU equals the clip."""
+    """Diagonals on the centre line, corner to corner: pairs that touch
+    within rounding. Screened or not, the IoU equals the clip."""
     sizes = [((2.0, 4.0), (2.0, 4.0)), ((2.5, 2.5), (1.0, 12.0)),
              ((0.05, 4.0), (1.8, 4.5)), ((0.05, 6.0), (0.02, 3.0))]
     for (wa, la), (wb, lb) in sizes:
@@ -391,12 +394,84 @@ def test_cull_is_exact_at_corner_contact():
                        y=-0.5 + (ra + rb + gap) * s, w=wb, l=lb,
                        yaw=theta - math.atan2(wb, lb))
                 direct = rotated_iou_bev(a, b)
-                culled = iou_matrix([a], [b], rotated_iou_bev)[0, 0]
-                assert culled.hex() == direct.hex(), (wa, la, theta, gap)
+                screened = iou_matrix([a], [b], rotated_iou_bev)[0, 0]
+                assert screened.hex() == direct.hex(), (wa, la, theta, gap)
+                bound = iou_bounds([a], [b])[0, 0]
+                assert bound >= direct
                 if gap <= -1e-6:
                     assert direct > 0.0
                 if gap >= 1e-3:
-                    assert not near_pairs([a], [b])[0, 0]
+                    assert bound == 0.0, (wa, la, theta, gap)
+
+
+def _bound_corpus(rng):
+    """Seeded random pairs, then identical, axis-aligned and corner-contact
+    ones, for the bound-soundness test."""
+    pairs = []
+    for _ in range(10_000):
+        off = rng.uniform(-100.0, 100.0, 2)
+        r, t = rng.uniform(0.0, 8.0), rng.uniform(-math.pi, math.pi)
+        wa, la, wb, lb = rng.uniform(0.05, 12.0, 4)
+        pairs.append((det(x=off[0], y=off[1], w=wa, l=la,
+                          yaw=rng.uniform(-4, 4)),
+                      gt(x=off[0] + r * math.cos(t), y=off[1] + r * math.sin(t),
+                         w=wb, l=lb, yaw=rng.uniform(-4, 4))))
+    for _ in range(200):
+        a = det(x=rng.uniform(-100, 100), y=rng.uniform(-100, 100),
+                w=rng.uniform(0.05, 12), l=rng.uniform(0.05, 12),
+                yaw=rng.uniform(-4, 4))
+        pairs.append((a, dataclasses.replace(a)))
+        # same heading, where the bound is the exact IoU but for the pad
+        pairs.append((a, dataclasses.replace(
+            a, x=a.x + rng.uniform(-3, 3), y=a.y + rng.uniform(-3, 3),
+            w=rng.uniform(0.05, 12), l=rng.uniform(0.05, 12),
+            yaw=a.yaw + math.pi * int(rng.integers(0, 4)) / 2)))
+    for theta in (0.0, 0.3, 1.1, -2.4):
+        d = 0.5 * (math.hypot(2.0, 4.0) + math.hypot(1.0, 3.0))
+        for gap in (0.0, 1e-9, -1e-9, 1e-6, -1e-6):
+            pairs.append((
+                det(yaw=theta - math.atan2(2.0, 4.0)),
+                det(x=(d + gap) * math.cos(theta), y=(d + gap) * math.sin(theta),
+                    w=1.0, l=3.0, yaw=theta - math.atan2(1.0, 3.0))))
+    return pairs
+
+
+def test_iou_bounds_are_at_least_the_clip():
+    rng = np.random.default_rng(29)
+    n_zero = n_screened = 0
+    for a, b in _bound_corpus(rng):
+        bound = iou_bounds([a], [b])[0, 0]
+        exact = rotated_iou_bev(a, b)
+        # the geometric bound alone covers the clip; the margin is spare
+        assert bound - IOU_MARGIN >= exact or bound == exact == 0.0, (a, b)
+        assert bound == iou_bounds([b], [a])[0, 0]
+        n_zero += bound == 0.0
+        n_screened += bound <= IOU_THRESHOLDS[0]
+    # the screen settles most pairs, many as provably disjoint
+    assert n_zero > 1500 and n_screened > 6000
+
+
+def test_nan_boxes_reach_the_clip(monkeypatch):
+    nan_box = det(x=math.nan)
+    assert math.isnan(iou_bounds([nan_box], [det()])[0, 0])
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return rotated_iou_bev(a, b)
+
+    assert iou_matrix([nan_box], [gt()], counting, IOU_THRESHOLDS[0]).shape == (1, 1)
+    assert match_detections([nan_box], [gt()], iou_fn=counting) == {
+        t: [False] for t in IOU_THRESHOLDS}
+    assert len(calls) == 2
+    monkeypatch.setattr(viewfuse.eval, "rotated_iou_bev", counting)
+    nms_rotated([det(), dataclasses.replace(nan_box, confidence=0.5)])
+    assert len(calls) == 3
+    # empty lists give empty bounds
+    assert iou_bounds([], [gt()]).shape == (0, 1)
+    assert iou_bounds([det()], []).shape == (1, 0)
+    assert match_detections([], []) == {t: [] for t in IOU_THRESHOLDS}
+    assert nms_rotated([]) == []
 
 
 def test_cull_keeps_size_validation():

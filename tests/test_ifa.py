@@ -10,16 +10,22 @@ from ifa_reference import (aggregate_reference_point, composite_layer_norm,
                            reference_bilinear_sample, reference_block_forward)
 from viewfuse.geometry import (CameraModel, Pose, apply_pose_noise,
                                project_points, relative_pose)
+import viewfuse.ifa
 from viewfuse.ifa import (
     BevGridSpec,
     BevView,
     IfaBlock,
     ifa_block_forward,
     ifa_cascade,
+    observe,
 )
-from viewfuse.scene import SceneConfig, make_ring_rig
+from viewfuse.model import (FLAGS_FULL, FLAGS_SOLO, PipelineModel,
+                            model_forward)
+from viewfuse.scene import SceneConfig, generate_scene, make_ring_rig
 from viewfuse.tensor import (SAMPLE_CHUNK_ROWS as CHUNK, Tensor,
                              bilinear_sample, layer_norm, softmax)
+
+from small import small_model_cfg, small_scene_cfg
 
 
 def _ring_cam(k=0):
@@ -511,3 +517,79 @@ def test_cascade_composition():
 
     with pytest.raises(ValueError):
         ifa_cascade(q0, [view], spec, [])
+
+
+# ---- own-rig sightings cache ----
+
+
+def _caches():
+    return (viewfuse.ifa._own_rig_projection, viewfuse.ifa._own_rig_geometry)
+
+
+def _fresh(views, spec):
+    """``observe`` on copies masked everywhere, which are never cached."""
+    return observe([BevView(features=v.features, cam=v.cam,
+                            agent_pose_in_ego=v.agent_pose_in_ego,
+                            agent_id=v.agent_id, view_id=v.view_id,
+                            mask=np.ones(v.features.shape[1:], dtype=bool))
+                    for v in views], spec)
+
+
+def _assert_sightings_equal(got, want):
+    assert got.maps.data.tobytes() == want.maps.data.tobytes()
+    for name in ("uv", "view", "cell", "v_inv", "h_inv", "coef"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable, name
+    assert got.cell_rows.idx.tobytes() == want.cell_rows.idx.tobytes()
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.v_sum, name), getattr(want.v_sum, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable, name
+
+
+def test_own_rig_sightings_are_cached_bit_for_bit():
+    for cache in _caches():
+        cache.cache_clear()
+    rng = np.random.default_rng(29)
+    spec = BevGridSpec()
+    ego = [_view(rng.normal(size=(3, 20, 32)), view_id=k, cam=cam)
+           for k, cam in enumerate(make_ring_rig(SceneConfig(), Pose()).cams)]
+    first = observe(ego, spec)
+    again = observe(ego[::-1], spec)
+    assert [c.cache_info().misses for c in _caches()] == [4, 1]
+    assert [c.cache_info().hits for c in _caches()] == [8, 1]
+    for got in (first, again):
+        _assert_sightings_equal(got, _fresh(ego, spec))
+    with pytest.raises(ValueError, match="read-only"):
+        again.uv[0, 0] = 1.0
+    # maps are built on every call, from the views given
+    other = [_view(rng.normal(size=(3, 20, 32)), view_id=v.view_id, cam=v.cam)
+             for v in ego]
+    _assert_sightings_equal(observe(other, spec), _fresh(other, spec))
+    # a solo rig with a missing view, as late fusion's forwards build it
+    scene_cfg = small_scene_cfg(n_agents=3, missing_view_prob=0.5)
+    scene = next(sc for sc in (generate_scene(scene_cfg, s) for s in range(20))
+                 if not all(sc.agents[1].view_valid))
+    model = PipelineModel(small_model_cfg(), np.random.default_rng(7))
+    solo = model_forward(model, scene, FLAGS_SOLO, wire=True, ego=1).views
+    assert 0 < len(solo) < scene_cfg.n_cams
+    _assert_sightings_equal(observe(solo, model.spec),
+                            _fresh(solo, model.spec))
+
+
+def test_noisy_and_masked_views_add_no_cache_entry():
+    scene = generate_scene(small_scene_cfg(n_agents=3), 4)
+    model = PipelineModel(small_model_cfg(), np.random.default_rng(7))
+    # the ego's own views are cached by the solo forward
+    model_forward(model, scene, FLAGS_SOLO, wire=True)
+    before = [c.cache_info() for c in _caches()]
+    for wire in (False, True):
+        fr = model_forward(model, scene, FLAGS_FULL, wire=wire,
+                           noise_sigma=0.3,
+                           noise_rng=np.random.default_rng(1))
+        assert any(v.mask is not None for v in fr.views)
+    after = [c.cache_info() for c in _caches()]
+    assert [(i.misses, i.currsize) for i in after] == [
+        (i.misses, i.currsize) for i in before]
+    assert after[0].hits > before[0].hits
