@@ -21,6 +21,7 @@ from .geometry import (SAT_GAP, Pose, apply_pose, clip_convex,
 from .model import (FLAGS_FULL, FLAGS_LATE, FLAGS_SOLO, PipelineFlags,
                     PipelineModel, ego_frame_targets, model_forward)
 from .scene import GtBox, Scene, truncate_scene
+from .tensor import no_grad
 
 TAG_EVAL_NOISE = 5
 
@@ -287,34 +288,37 @@ def evaluate_scene(model: PipelineModel, scene: Scene,
 
     Collaborators send the instances, or under late fusion the detections,
     whose confidence exceeds ``c_thre`` (None: the trained ``model.c_thre``).
+    Its forwards record no autodiff graph (``no_grad``): nothing here calls
+    backward, and the values are the same.
     """
     if c_thre is None:
         c_thre = model.cfg.c_thre
-    rng = _noise_rng(eval_seed, scene.seed)
-    fr = model_forward(model, scene, flags, wire=True,
-                       noise_sigma=noise_sigma, noise_rng=rng,
-                       detector_mode="infer", c_thre=c_thre)
-    dets = rows_to_detections(decoded_rows(fr.preds, model.codec))
-    ledger = fr.ledger
-    if flags.late_fuse and len(scene.agents) > 1:
-        for j in range(1, len(scene.agents)):
-            solo = model_forward(model, scene, FLAGS_SOLO, wire=True,
-                                 detector_mode="infer", ego=j)
-            solo_rows = decoded_rows(solo.preds, model.codec)
-            # the forward already drew each collaborator's reported pose;
-            # the detection transform must see the same noise realization
-            t = relative_pose(scene.ego.pose, fr.believed[j])
-            for n, r in enumerate(solo_rows):
-                if r[0] <= c_thre:
-                    continue
-                msg = DetectionMessage(agent_id=j, index=n,
-                                       box=tuple(r[1:8]), confidence=r[0])
-                msg = decode_detection(encode_detection(msg))
-                ledger.count_detection_message(msg, receiver=0)
-                d = Detection(*msg.box, confidence=msg.confidence)
-                dets.append(detection_to_frame(d, t))
-        dets = nms_rotated(dets, NMS_IOU)
-    return dets, ledger
+    with no_grad():
+        rng = _noise_rng(eval_seed, scene.seed)
+        fr = model_forward(model, scene, flags, wire=True,
+                           noise_sigma=noise_sigma, noise_rng=rng,
+                           detector_mode="infer", c_thre=c_thre)
+        dets = rows_to_detections(decoded_rows(fr.preds, model.codec))
+        ledger = fr.ledger
+        if flags.late_fuse and len(scene.agents) > 1:
+            for j in range(1, len(scene.agents)):
+                solo = model_forward(model, scene, FLAGS_SOLO, wire=True,
+                                     detector_mode="infer", ego=j)
+                solo_rows = decoded_rows(solo.preds, model.codec)
+                # the forward already drew each collaborator's reported pose;
+                # the detection transform must see the same noise realization
+                t = relative_pose(scene.ego.pose, fr.believed[j])
+                for n, r in enumerate(solo_rows):
+                    if r[0] <= c_thre:
+                        continue
+                    msg = DetectionMessage(agent_id=j, index=n,
+                                           box=tuple(r[1:8]), confidence=r[0])
+                    msg = decode_detection(encode_detection(msg))
+                    ledger.count_detection_message(msg, receiver=0)
+                    d = Detection(*msg.box, confidence=msg.confidence)
+                    dets.append(detection_to_frame(d, t))
+            dets = nms_rotated(dets, NMS_IOU)
+        return dets, ledger
 
 
 # ---- full-set evaluation ----

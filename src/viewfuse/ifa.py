@@ -180,8 +180,15 @@ class Sightings:
 
 
 @functools.lru_cache(maxsize=64)
+def _reference_points(spec: BevGridSpec) -> np.ndarray:
+    refs = spec.reference_points()
+    refs.flags.writeable = False
+    return refs
+
+
+@functools.lru_cache(maxsize=64)
 def _own_rig_projection(cam: CameraModel, spec: BevGridSpec):
-    uv, _, ok = project_points(spec.reference_points(), cam, Pose())
+    uv, _, ok = project_points(_reference_points(spec), cam, Pose())
     uv.flags.writeable = ok.flags.writeable = False
     return uv, ok
 
@@ -224,14 +231,15 @@ def observe(views: list[BevView], spec: BevGridSpec) -> Sightings:
     """Project the reference points into every valid view.
 
     A point counts as observed where it projects inside the view and, for a
-    masked view, onto a masked-in cell (see ``BevView``). An unmasked view
-    at the ego's own pose sees alike in every scene: its (uv, ok) is cached
-    per (camera, spec), and a set of only such views takes its geometry from
-    a cache keyed by (spec, cameras), read-only, ``maps`` built per call.
+    masked view, onto a masked-in cell (see ``BevView``). The reference
+    points are cached per spec. An unmasked view at the ego's own pose sees
+    alike in every scene: its (uv, ok) is cached per (camera, spec), and a
+    set of only such views takes its geometry from a cache keyed by (spec,
+    cameras), read-only, ``maps`` built per call.
     """
     views = sorted(views, key=lambda v: (v.agent_id, v.view_id))
     own = [v.mask is None and v.agent_pose_in_ego == Pose() for v in views]
-    refs = None if all(own) else spec.reference_points()
+    refs = _reference_points(spec)
     proj = []
     for view, o in zip(views, own):
         if o:

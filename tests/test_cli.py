@@ -4,6 +4,7 @@ import ast
 import csv
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -739,3 +740,16 @@ def test_import_leaves_scipy_optimize_unloaded():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split() == ["True", "False"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings are glibc's mallopt options")
+def test_import_keeps_freed_heap_under_glibc():
+    # no trimming and a fixed mmap threshold (see tensor._keep_freed_heap)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import viewfuse.eval, viewfuse.tensor; "
+            "print(viewfuse.tensor.HEAP_SETTINGS)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "(1, 1)"

@@ -1,9 +1,11 @@
 """Metrics, baselines and sweep harness."""
 import collections
+import contextlib
 import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,10 @@ from viewfuse.eval import (
     sweep,
 )
 from viewfuse.geometry import clip_convex, polygon_area, rect_corners
-from viewfuse.model import FLAGS_SOLO, ego_frame_targets
+from viewfuse.model import (FLAGS_LATE, FLAGS_SOLO, ego_frame_targets,
+                            model_forward, train_step)
 from viewfuse.scene import GtBox, generate_scene
+from viewfuse.tensor import Adam
 
 import eval_reference as ref
 from small import small_model, small_scene_cfg
@@ -564,6 +568,74 @@ def test_late_fusion_bytes_are_pure_detections(rig):
     r = run_late_fusion(model, scenes, c_thre=0.05)
     assert r.total_bytes > 0
     assert r.total_bytes % 41 == 0
+
+
+# ---- graph-free evaluation ----
+
+
+def test_graph_free_evaluation_gives_the_same_bits(monkeypatch):
+    # a noisy fused scene and a 3-agent late scene, against the same code
+    # with recording left on: each forward then builds its graph
+    model = small_model()
+    cases = ((generate_scene(small_scene_cfg(), 6), PIPELINES["fused"], 0.3),
+             (generate_scene(small_scene_cfg(n_agents=3), 6),
+              PIPELINES["late"], 0.0))
+    fbevs = []
+
+    def spy(*a, **k):
+        fr = model_forward(*a, **k)
+        fbevs.append(fr.fbev)
+        return fr
+
+    monkeypatch.setattr(viewfuse.eval, "model_forward", spy)
+
+    def run():
+        fbevs.clear()
+        return [evaluate_scene(model, scene, flags, noise_sigma=sigma)
+                for scene, flags, sigma in cases]
+
+    got = run()
+    assert len(fbevs) == 4 and all(t._parents == () for t in fbevs)
+    monkeypatch.setattr(viewfuse.eval, "no_grad", contextlib.nullcontext)
+    want = run()
+    assert len(fbevs) == 4 and all(t._parents != () for t in fbevs)
+    assert got == want
+    assert all(ledger.total_bytes > 0 for _, ledger in got)
+
+
+def test_train_step_records_after_a_failed_evaluation():
+    model = small_model()
+    with pytest.raises(ValueError, match="channels"):
+        evaluate_scene(model, generate_scene(small_scene_cfg(feat_c=8), 5),
+                       PIPELINES["fused"])
+    train_step([generate_scene(small_scene_cfg(), 5)], model,
+               Adam(model.params(), lr=2e-3))
+    assert all(t.grad is not None and np.all(np.isfinite(t.grad))
+               for t in model.params().values())
+
+
+def test_late_evaluation_holds_less_than_one_graph():
+    model = small_model()
+    scene = generate_scene(small_scene_cfg(n_agents=3), 6)
+
+    def forward():
+        return model_forward(model, scene, FLAGS_LATE, wire=True,
+                             detector_mode="infer")
+
+    def late():
+        return evaluate_scene(model, scene, FLAGS_LATE)
+
+    def peak(fn):
+        fn()    # first-call caches
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, evaluated = peak(forward), peak(late)
+    assert evaluated < one, (evaluated, one)
 
 
 def test_ablation_ladder_rows(rig):
