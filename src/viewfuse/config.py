@@ -114,10 +114,6 @@ def _coerce(value, ftype: str, path: str):
         if not math.isfinite(value):
             raise ConfigError(f'"{path}" must be finite, got {value!r}')
         return float(value)
-    if ftype == "float | None":
-        if value is None:
-            return None
-        return _coerce(value, "float", path)
     if ftype == "str":
         if not isinstance(value, str):
             raise ConfigError(f'"{path}" must be a string, got {value!r}')

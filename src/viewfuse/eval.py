@@ -59,34 +59,15 @@ def rows_to_detections(rows: np.ndarray) -> list[Detection]:
 # ---- rotated IoU ----
 
 
-def _corners(box) -> np.ndarray:
-    """``rect_corners`` of a box, memoised on the box under its geometry.
-
-    The memo lives in the box's instance ``__dict__`` and is keyed by
-    (x, y, w, l, yaw), so a moved or resized box gets new corners. A box
-    without an instance dict (a namedtuple, a slotted class) is computed
-    afresh on every call.
-    """
-    key = (box.x, box.y, box.w, box.l, box.yaw)
-    try:
-        memo = box.__dict__
-    except AttributeError:
-        return rect_corners(*key)
-    hit = memo.get("_corners")
-    if hit is None or hit[0] != key:
-        hit = memo["_corners"] = (key, rect_corners(*key))
-    return hit[1]
-
-
 def rotated_iou_bev(a, b) -> float:
     """IoU of two yaw-rotated rectangles in the ground plane.
 
     Accepts anything with x, y, w, l, yaw fields (detections or GT boxes).
-    Each box's corners are computed once and kept on it (``_corners``).
     """
     if min(a.w, a.l, b.w, b.l) <= 0.0:
         raise ValueError("boxes need positive sizes")
-    inter = polygon_area(clip_convex(_corners(a), _corners(b)))
+    inter = polygon_area(clip_convex(rect_corners(a.x, a.y, a.w, a.l, a.yaw),
+                                     rect_corners(b.x, b.y, b.w, b.l, b.yaw)))
     union = a.w * a.l + b.w * b.l - inter
     return inter / union if union > 0.0 else 0.0
 

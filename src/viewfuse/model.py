@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -399,7 +400,8 @@ def save_checkpoint(path, model: PipelineModel, opt: Adam | None = None, *,
                     flags: PipelineFlags = FLAGS_FULL) -> None:
     """Versioned flat archive of named f64 parameter (and Adam) arrays.
 
-    ``flags`` are the pipeline flags the model was trained under.
+    ``flags`` are the pipeline flags the model was trained under. It is
+    written beside ``path`` and moved over it only when whole.
     """
     arrays = {f"param.{k}": t.data for k, t in model.params().items()}
     if opt is not None:
@@ -411,8 +413,15 @@ def save_checkpoint(path, model: PipelineModel, opt: Adam | None = None, *,
     arrays["meta"] = np.frombuffer(meta.encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # what reading a damaged or foreign file raises: empty (EOFError), truncated
@@ -523,14 +532,17 @@ def train(model_cfg: ModelConfig, train_cfg, scenes: list[Scene],
         meta = load_checkpoint(ckpt, model, opt, expect_fingerprint=fingerprint,
                                expect_flags=flags)
         start = int(meta.get("step", 0))
-        kept = _read_loss_rows(loss_csv)[:start]
+        kept = _read_loss_rows(loss_csv)
+        if len(kept) < start:   # resuming would leave a gap in the log
+            raise CheckpointError(f"cannot resume: {loss_csv} holds {len(kept)} "
+                                  f"loss rows, but {ckpt} is at step {start}")
         log(f"resumed {ckpt.name} at step {start}")
     steps = train_cfg.steps
     log(f"training {ckpt.name}: steps {start}..{steps}, "
         f"{len(scenes)} scenes, flags {flags}")
     with open(loss_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("step,loss\n")
-        for row in kept:
+        for row in kept[:start]:
             fh.write(row + "\n")
         fh.flush()
         seed = train_cfg.seed

@@ -428,18 +428,14 @@ AGENT_CLEAR_L = 5.6
 CAR_RADIUS_MAX = math.hypot(CAR_W[1], CAR_L[1]) / 2.0
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """``rng.uniform(lo, hi)`` bit for bit, at a third of its call cost.
-
-    This is numpy's own formula (``random_uniform``: low + range *
-    next_double) on the draw ``rng.random()`` takes from the same stream.
-    """
-    return lo + (hi - lo) * rng.random()
-
-
 def _draws(rng: np.random.Generator, *bounds) -> list[float]:
-    """One ``_uniform`` per ``(lo, hi)`` in ``bounds``, in order, from one
-    ``rng.random(n)`` call: the same n doubles as n scalar draws."""
+    """One ``rng.uniform(lo, hi)`` per ``(lo, hi)`` in ``bounds``, in order,
+    bit for bit, from one ``rng.random(n)`` call.
+
+    Each is numpy's own formula (``random_uniform``: low + range *
+    next_double) on one double of the stream; ``rng.random(n)`` takes the
+    same n doubles as n scalar draws, at a fraction of their call cost.
+    """
     return [lo + (hi - lo) * u
             for (lo, hi), u in zip(bounds, rng.random(len(bounds)).tolist())]
 
@@ -449,59 +445,50 @@ CAR = (CAR_W, CAR_L, CAR_H)
 TRUCK = (TRUCK_W, TRUCK_L, TRUCK_H)
 
 
-class _Placed:
-    """A placed box: its circumscribed radius and, once read, its corners.
+class _Box:
+    """A box in placement: centre and yaw snapped as the scene stores them,
+    its size, its circumscribed radius, whether it is an occlusion target
+    and, once read, its corners.
 
-    An occlusion target goes through draw, candidate, ``clashes``, build,
+    An occlusion target goes through draw, ``_Box``, ``clashes``,
     ``_covers_fully``, ``admit``; a free box skips ``_covers_fully``. Each
-    attempt takes its uniforms in one ``_draws`` call and makes a ``_Cand``
-    of them. ``clashes`` tests that against every clearance and placed box,
-    first by centre distance against the sum of the ``radius`` and then by
-    ``rects_overlap``. Only a candidate that clashes with nothing is built
-    into a ``GtBox`` and a ``_Placed``, whose corners the bearing tests of
-    ``_covers_fully`` and ``admit`` read.
+    attempt takes its uniforms in one ``_draws`` call. ``clashes`` tests the
+    box against every clearance and placed box, first by centre distance
+    against the sum of the ``radius`` and then by ``rects_overlap``, which
+    reads x, y, w, l and yaw. A box's ``obj_id`` is its index in the placed
+    list, and its ``GtBox`` is built only when the scene is assembled.
 
     ``pts``, the ``rect_corners`` output as Python floats, feeds the bearing
-    spans. It is computed the first time it is read.
+    spans of ``_covers_fully`` and ``admit``. It is computed the first time
+    it is read.
     """
 
-    __slots__ = ("box", "radius", "_pts")
+    __slots__ = ("x", "y", "yaw", "w", "l", "h", "radius", "occluded", "_pts")
 
-    def __init__(self, box: GtBox):
-        self.box = box
-        self.radius = math.hypot(box.w, box.l) / 2.0
+    def __init__(self, x, y, yaw, w, l, h, occluded=False):
+        self.x, self.y = _snap(x), _snap(y)
+        self.yaw = _snap(normalize_angle(yaw), YAW_SNAP)
+        self.w, self.l, self.h = w, l, h
+        self.radius = math.hypot(w, l) / 2.0
+        self.occluded = occluded
         self._pts = None
 
     @property
     def pts(self) -> list:
         if self._pts is None:
-            self._pts = self.box.corners_bev().tolist()
+            self._pts = rect_corners(self.x, self.y, self.w, self.l, self.yaw).tolist()
         return self._pts
 
 
-class _Cand:
-    """A drawn box, not yet built: centre and yaw snapped as a ``GtBox``
-    stores them, its size and its circumscribed radius. It has every field
-    ``rects_overlap`` reads."""
+def _agent_clearance(pose: Pose) -> _Box:
+    """The rectangle around an agent that no box or other agent may enter.
 
-    __slots__ = ("x", "y", "w", "l", "h", "yaw", "radius")
-
-    def __init__(self, x, y, yaw, w, l, h):
-        self.x, self.y = _snap(x), _snap(y)
-        self.yaw = _snap(normalize_angle(yaw), YAW_SNAP)
-        self.w, self.l, self.h = w, l, h
-        self.radius = math.hypot(w, l) / 2.0
-
-    def build(self, obj_id: int, occluded: bool = False) -> _Placed:
-        return _Placed(GtBox(obj_id=obj_id, x=self.x, y=self.y, z=self.h / 2.0,
-                             w=self.w, l=self.l, h=self.h, yaw=self.yaw,
-                             occluded=occluded))
-
-
-def _agent_clearance(pose: Pose) -> _Placed:
-    """The rectangle around an agent that no box or other agent may enter."""
-    return _Placed(GtBox(obj_id=-1, x=pose.x, y=pose.y, z=0.0, w=AGENT_CLEAR_W,
-                         l=AGENT_CLEAR_L, h=0.0, yaw=pose.yaw))
+    It takes the pose's centre and yaw as they are: ``Pose`` has wrapped the
+    yaw, and snapping it again need not give it back.
+    """
+    box = _Box(pose.x, pose.y, 0.0, AGENT_CLEAR_W, AGENT_CLEAR_L, 0.0)
+    box.x, box.y, box.yaw = pose.x, pose.y, pose.yaw
+    return box
 
 
 def _bearing_span(origin: tuple[float, float], corners, ref: float):
@@ -520,11 +507,10 @@ class _Sight:
 
     __slots__ = ("origin", "target", "dist", "ref", "_span")
 
-    def __init__(self, origin: tuple[float, float], target: _Placed):
-        t = target.box
+    def __init__(self, origin: tuple[float, float], target: _Box):
         self.origin, self.target = origin, target
-        self.dist = math.hypot(t.x - origin[0], t.y - origin[1])
-        self.ref = math.atan2(t.y - origin[1], t.x - origin[0])
+        self.dist = math.hypot(target.x - origin[0], target.y - origin[1])
+        self.ref = math.atan2(target.y - origin[1], target.x - origin[0])
         self._span = None
 
     @property
@@ -534,40 +520,38 @@ class _Sight:
         return self._span
 
 
-def _blocks(sight: _Sight, blocker: _Placed) -> bool:
-    """Approximate: does ``blocker`` shadow the target of ``sight``?"""
-    origin, b, dt, ref = sight.origin, blocker.box, sight.dist, sight.ref
+def _blocks(sight: _Sight, b: _Box) -> bool:
+    """Approximate: does ``b`` shadow the target of ``sight``?"""
+    origin, dt, ref = sight.origin, sight.dist, sight.ref
     db = math.hypot(b.x - origin[0], b.y - origin[1])
     if db >= dt or db < 1e-9:
         return False
     rel_c = normalize_angle(math.atan2(b.y - origin[1], b.x - origin[0]) - ref)
     reach = (math.asin(min(1.0, sight.target.radius / dt))
-             + math.asin(min(1.0, blocker.radius / db)))
+             + math.asin(min(1.0, b.radius / db)))
     if abs(rel_c) > reach:
         return False
     t_lo, t_hi = sight.span
-    b_lo, b_hi = _bearing_span(origin, blocker.pts, ref)
+    b_lo, b_hi = _bearing_span(origin, b.pts, ref)
     inter = min(t_hi, b_hi) - max(t_lo, b_lo)
     width = t_hi - t_lo
     return width > 0 and inter > BLOCK_MIN_OVERLAP * width
 
 
-def _covers_fully(origin: tuple[float, float], occluder: _Placed, target: _Placed,
-                  cam_h: float) -> bool:
-    """Sufficient condition: occluder hides target from a camera at origin."""
-    occ, tgt = occluder.box, target.box
-    dt = math.hypot(tgt.x - origin[0], tgt.y - origin[1])
+def _covers_fully(sight: _Sight, occ: _Box, cam_h: float) -> bool:
+    """Sufficient condition: ``occ`` hides the target of ``sight`` from a
+    camera at its origin."""
+    origin, dt = sight.origin, sight.dist
     do = math.hypot(occ.x - origin[0], occ.y - origin[1])
     if do >= dt:
         return False
-    ref = math.atan2(tgt.y - origin[1], tgt.x - origin[0])
-    t_lo, t_hi = _bearing_span(origin, target.pts, ref)
-    o_lo, o_hi = _bearing_span(origin, occluder.pts, ref)
+    t_lo, t_hi = sight.span
+    o_lo, o_hi = _bearing_span(origin, occ.pts, sight.ref)
     margin = 0.015
     if not (o_lo <= t_lo - margin and o_hi >= t_hi + margin):
         return False
     # ray over the occluder top must clear the target top
-    need = cam_h + (tgt.h - cam_h) * (do / dt)
+    need = cam_h + (sight.target.h - cam_h) * (do / dt)
     return occ.h >= need * 1.05 + 0.05
 
 
@@ -586,19 +570,18 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
 
 def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     # agents: ego near the world center of a randomly offset frame
-    ego_pose = Pose(_snap(_uniform(rng, -4.0, 4.0)), _snap(_uniform(rng, -4.0, 4.0)),
-                    0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
+    x, y, yaw = _draws(rng, (-4.0, 4.0), (-4.0, 4.0), ANGLE)
+    ego_pose = Pose(_snap(x), _snap(y), 0.0, _snap(yaw, YAW_SNAP))
     agent_poses = [ego_pose]
     clearances = [_agent_clearance(ego_pose)]
     for _ in range(cfg.n_agents - 1):
         for _attempt in range(60):
-            d = _uniform(rng, 5.0, 11.0)
-            phi = _uniform(rng, -math.pi, math.pi)
+            d, phi, yaw = _draws(rng, (5.0, 11.0), ANGLE, ANGLE)
             pose = Pose(_snap(ego_pose.x + d * math.cos(phi)),
                         _snap(ego_pose.y + d * math.sin(phi)),
-                        0.0, _snap(_uniform(rng, -math.pi, math.pi), YAW_SNAP))
+                        0.0, _snap(yaw, YAW_SNAP))
             clearance = _agent_clearance(pose)
-            if not any(rects_overlap(clearance.box, other.box) for other in clearances):
+            if not any(rects_overlap(clearance, other) for other in clearances):
                 agent_poses.append(pose)
                 clearances.append(clearance)
                 break
@@ -622,31 +605,31 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     if n_occluded > 0 and cfg.range_m - 1.5 <= 7.2:
         return "range too small for occlusion pairs"
 
-    boxes: list[_Placed] = []
-    protected: list[_Placed] = []
-    # per protected target: collaborator indices with an unshadowed sight line
-    clear_sets: list[list[int]] = []
+    boxes: list[_Box] = []
+    # per occlusion target: the collaborator indices with an unshadowed
+    # sight line
+    witnesses: list[tuple[_Box, list[int]]] = []
 
-    def clashes(cand: _Cand) -> bool:
-        # the two tests of ``_Placed``, the radius cull inline
+    def clashes(cand: _Box) -> bool:
+        # the two tests of ``_Box``, the radius cull inline
         x, y, r = cand.x, cand.y, cand.radius
         for others in (clearances, boxes):
             for b in others:
-                if (math.hypot(x - b.box.x, y - b.box.y) <= r + b.radius
-                        and rects_overlap(cand, b.box)):
+                if (math.hypot(x - b.x, y - b.y) <= r + b.radius
+                        and rects_overlap(cand, b)):
                     return True
         return False
 
-    def facing_view_ok(c: int, tgt: _Placed) -> bool:
+    def facing_view_ok(c: int, tgt: _Box) -> bool:
         # ring cameras tile the circle without overlap, so a target is imaged
         # almost entirely by the camera whose sector holds its bearing
         rig = agents[c + 1]
-        bearing = math.atan2(tgt.box.y - rig.pose.y, tgt.box.x - rig.pose.x)
+        bearing = math.atan2(tgt.y - rig.pose.y, tgt.x - rig.pose.x)
         sector = 2.0 * math.pi / cfg.n_cams
         k = int(round(normalize_angle(bearing - rig.pose.yaw) / sector)) % cfg.n_cams
         return rig.view_valid[k]
 
-    def seeing(cands: list[int], t: _Placed, blockers: list[_Placed]) -> list[int]:
+    def seeing(cands: list[int], t: _Box, blockers: list[_Box]) -> list[int]:
         # the collaborators of ``cands`` that still see t past these blockers
         out = []
         for c in cands:
@@ -655,25 +638,24 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 out.append(c)
         return out
 
-    def admit(new: list[_Placed], tgt: _Placed | None) -> bool:
+    def admit(new: list[_Box], tgt: _Box | None) -> bool:
         """Commit ``new`` (ending in the new target ``tgt``, if any) unless
-        a protected target, new or old, would be left without a witness."""
+        an occlusion target, new or old, would be left without a witness."""
         if tgt is not None:
             facing = [c for c in range(len(collab_xy)) if facing_view_ok(c, tgt)]
             cs_new = seeing(facing, tgt, boxes + new[:-1])
             if collab_xy and not cs_new:
                 return False
         updated = []
-        for t, cs in zip(protected, clear_sets):
+        for t, cs in witnesses:
             kept = seeing(cs, t, new)
             if collab_xy and not kept:
                 return False
-            updated.append(kept)
+            updated.append((t, kept))
         boxes.extend(new)
-        clear_sets[:] = updated
+        witnesses[:] = updated
         if tgt is not None:
-            protected.append(tgt)
-            clear_sets.append(cs_new)
+            witnesses.append((tgt, cs_new))
         return True
 
     # per occluder in place: the occluder, the band of target distances
@@ -696,18 +678,17 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                     int(rng.integers(len(shadows)))]
                 if lo >= hi:
                     continue
-                dt = _uniform(rng, lo, hi)
+                dt, = _draws(rng, (lo, hi))
                 th = math.asin(min(1.0, (CAR_RADIUS_MAX + 0.1) / dt)) + 0.02
                 if o_lo + th >= o_hi - th:
                     continue
                 rel, yaw, w, l, h = _draws(rng, (o_lo + th, o_hi - th), ANGLE, *CAR)
                 phi = bearing_o + rel
-                cand = _Cand(ex + dt * math.cos(phi), ey + dt * math.sin(phi),
-                             yaw, w, l, h)
-                if clashes(cand):
+                tgt = _Box(ex + dt * math.cos(phi), ey + dt * math.sin(phi),
+                           yaw, w, l, h, occluded=True)
+                if clashes(tgt):
                     continue
-                tgt = cand.build(len(boxes), occluded=True)
-                if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
+                if not _covers_fully(_Sight(ego_xy, tgt), occ, cfg.cam_height):
                     continue
                 if not admit([tgt], tgt):
                     continue
@@ -720,22 +701,18 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
                 continue
             dyaw, *o_size = _draws(rng, (-0.25, 0.25), *TRUCK)
             c, s = math.cos(phi), math.sin(phi)
-            o_cand = _Cand(ex + do * c, ey + do * s, phi + math.pi / 2.0 + dyaw,
-                           *o_size)
-            if clashes(o_cand):
+            occ = _Box(ex + do * c, ey + do * s, phi + math.pi / 2.0 + dyaw, *o_size)
+            if clashes(occ):
                 continue
-            t_cand = _Cand(ex + dt * c, ey + dt * s, yaw, *t_size)
-            if clashes(t_cand) or rects_overlap(o_cand, t_cand):
+            tgt = _Box(ex + dt * c, ey + dt * s, yaw, *t_size, occluded=True)
+            if clashes(tgt) or rects_overlap(occ, tgt):
                 continue
-            occ = o_cand.build(len(boxes))
-            tgt = t_cand.build(len(boxes) + 1, occluded=True)
-            if not _covers_fully(ego_xy, occ, tgt, cfg.cam_height):
+            if not _covers_fully(_Sight(ego_xy, tgt), occ, cfg.cam_height):
                 continue
             if admit([occ, tgt], tgt):
-                d_o = math.hypot(occ.box.x - ex, occ.box.y - ey)
-                bearing_o = math.atan2(occ.box.y - ey, occ.box.x - ex)
-                shadows.append((occ, max(7.0, d_o / 0.62), min(far, d_o / 0.30),
-                                bearing_o, *_bearing_span(ego_xy, occ.pts, bearing_o)))
+                o = _Sight(ego_xy, occ)
+                shadows.append((occ, max(7.0, o.dist / 0.62), min(far, o.dist / 0.30),
+                                o.ref, *o.span))
                 placed_targets += 1
                 break
     # tolerate a bounded shortfall: crowded draws may leave no legal spot
@@ -745,18 +722,20 @@ def _try_generate(cfg: SceneConfig, seed: int, rng: np.random.Generator):
     while len(boxes) < n_obj:
         for _attempt in range(300):
             phi, d, yaw, w, l, h = _draws(rng, ANGLE, (3.0, far), ANGLE, *CAR)
-            cand = _Cand(ex + d * math.cos(phi), ey + d * math.sin(phi),
-                         yaw, w, l, h)
-            if not clashes(cand) and admit([cand.build(len(boxes))], None):
+            cand = _Box(ex + d * math.cos(phi), ey + d * math.sin(phi), yaw, w, l, h)
+            if not clashes(cand) and admit([cand], None):
                 break
         else:
             return "free box placement failed"
 
-    scene = Scene(seed=seed, cfg=cfg, agents=agents, boxes=[b.box for b in boxes])
-    for tgt in protected:
-        if agent_visibility(scene, 0, tgt.box.obj_id) > cfg.occluded_max_vis:
+    scene = Scene(seed=seed, cfg=cfg, agents=agents, boxes=[
+        GtBox(obj_id=i, x=b.x, y=b.y, z=b.h / 2.0, w=b.w, l=b.l, h=b.h, yaw=b.yaw,
+              occluded=b.occluded)
+        for i, b in enumerate(boxes)])
+    for tgt in (b for b in scene.boxes if b.occluded):
+        if agent_visibility(scene, 0, tgt.obj_id) > cfg.occluded_max_vis:
             return "constructed occlusion not confirmed by z-buffer"
-        if collab_xy and max(agent_visibility(scene, c, tgt.box.obj_id)
+        if collab_xy and max(agent_visibility(scene, c, tgt.obj_id)
                              for c in range(1, cfg.n_agents)) < cfg.witness_min_vis:
             return "witness visibility not confirmed by z-buffer"
     return scene

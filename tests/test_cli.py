@@ -232,6 +232,23 @@ def test_resume_extends_to_the_same_bytes(tmp_path):
     assert a == b
 
 
+def test_resume_from_a_short_loss_log_exits_2(tmp_path, capsys):
+    # a 2-step run whose loss.csv lost its rows must not resume with a gap
+    run = tmp_path / "run"
+    d = cfg_dict(run, train={"steps": 2, "checkpoint_every": 2})
+    assert main(["train", "--config", str(write_cfg(tmp_path, "s.json", d))]) == 0
+    capsys.readouterr()
+    (run / "loss.csv").write_text("step,loss\n")
+    ckpt = (run / "checkpoint.npz").read_bytes()
+    d["train"]["steps"] = 4
+    assert main(["train", "--config", str(write_cfg(tmp_path, "l.json", d))]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err, err
+    assert str(run / "loss.csv") in err and "0 loss rows" in err and "step 2" in err, err
+    assert (run / "checkpoint.npz").read_bytes() == ckpt
+    assert (run / "loss.csv").read_text() == "step,loss\n"
+
+
 # ---- eval ----
 
 
@@ -512,6 +529,7 @@ def test_resume_under_other_flags_is_refused(trained, tmp_path):
     cfg = load_config(cp)
     ckpt = tmp_path / "checkpoint.npz"
     ckpt.write_bytes((run / "checkpoint.npz").read_bytes())
+    (tmp_path / "loss.csv").write_bytes((run / "loss.csv").read_bytes())
     with pytest.raises(FingerprintError, match='"mask": false'):
         train(cfg.model, cfg.train, [], PipelineFlags(mask=False), ckpt,
               tmp_path / "loss.csv", fingerprint=fingerprint(cfg),

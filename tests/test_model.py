@@ -316,6 +316,36 @@ def test_checkpoint_errors(tmp_path, setup):
         load_checkpoint(path, other)
 
 
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
+    # a write that fails part-way, as on a full disk
+    model = PipelineModel(small_model_cfg(), np.random.default_rng(4))
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, model, fingerprint="fp1", step=1)
+    real_open = open
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(model_mod, "open",
+                        lambda *a, **k: Failing(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, model, fingerprint="fp1", step=2)
+    monkeypatch.undo()
+    assert load_checkpoint(path, model)["step"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]
+
+
 def _state(model, opt):
     return ({k: t.data.tobytes() for k, t in model.params().items()},
             {k: a.tobytes() for k, a in opt.m.items()},

@@ -24,7 +24,7 @@ from viewfuse.scene import (
     make_ring_rig, object_signature, render_raw, rasterize_view,
     scene_from_dict, scene_to_dict, truncate_scene,
     AGENT_CLEAR_L, AGENT_CLEAR_W, CAR_H, CAR_L, CAR_W, TRUCK_H, TRUCK_L, TRUCK_W,
-    _cells_in_hull, _draws, _uniform,
+    _cells_in_hull, _draws,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -498,8 +498,9 @@ def test_centre_bands_settle_almost_every_placement_pair(monkeypatch):
 
 
 def test_placement_builds_only_candidates_that_clash_with_nothing(monkeypatch):
-    # seed 1002 built 9,423 boxes when every drawn candidate was built, and
-    # 1,541 once only the candidates past the clash test are
+    # seed 1002 built 9,423 boxes when every drawn candidate was built,
+    # 1,541 once only the candidates past the clash test were, and builds
+    # one per scene box now that a box is built only at scene assembly
     built = []
     real = viewfuse.scene.GtBox
 
@@ -508,8 +509,8 @@ def test_placement_builds_only_candidates_that_clash_with_nothing(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(viewfuse.scene, "GtBox", counting)
-    generate_scene(SceneConfig(), 1002)
-    assert len(built) <= 1600
+    scene = generate_scene(SceneConfig(), 1002)
+    assert len(built) == len(scene.boxes) == 10
 
 
 def _bits(v: float) -> bytes:
@@ -534,16 +535,17 @@ def test_batched_draws_equal_scalar_draws_bit_for_bit():
                       for lo, e in zip(shape.uniform(-50.0, 50.0, n),
                                        shape.uniform(-30.0, 5.0, n))]
             got = _draws(batched, *bounds)
-            want = [_uniform(scalar, lo, hi) for lo, hi in bounds]
+            want = [scalar.uniform(lo, hi) for lo, hi in bounds]
         assert [_bits(v) for v in got] == [_bits(v) for v in want], k
         if k % 3 == 0:
             assert batched.integers(n) == scalar.integers(n), k
 
 
 def test_uniform_draw_is_generator_uniform_bit_for_bit():
-    # scene generation draws through _uniform, and every recorded scene rests
-    # on it equalling Generator.uniform on the same stream, signed zeros
-    # included; integer and no-argument draws interleave as they do there
+    # scene generation draws through _draws, and every recorded scene rests
+    # on a single draw equalling Generator.uniform on the same stream,
+    # signed zeros included; integer and no-argument draws interleave as
+    # they do there
     special = [(-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-1.0, 1.0), (2.5, 2.5),
                (-math.pi, math.pi), (-0.25, 0.25), (0.30, 0.62), (3.0, 14.5),
                CAR_W, CAR_L, CAR_H, TRUCK_W, TRUCK_L, TRUCK_H]
@@ -556,7 +558,8 @@ def test_uniform_draw_is_generator_uniform_bit_for_bit():
         else:
             lo = float(bounds.uniform(-50.0, 50.0))
             hi = lo + float(np.exp(bounds.uniform(-30.0, 5.0)))
-        assert _bits(_uniform(ours, lo, hi)) == _bits(theirs.uniform(lo, hi)), (k, lo, hi)
+        got, = _draws(ours, (lo, hi))
+        assert _bits(got) == _bits(theirs.uniform(lo, hi)), (k, lo, hi)
         if k % 3 == 0:
             n = 1 + k % 40
             assert ours.integers(n) == theirs.integers(n), k
