@@ -212,12 +212,12 @@ def cmd_eval(args) -> int:
     # a bad sweep is refused before the checkpoint and scenes are loaded
     points = _sweep_points(cfg, *args.sweep) if args.sweep else None
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.npz"
     model = _load_model(cfg, ckpt)
     flags = PIPELINES[args.pipeline]
     scenes = _scenes(cfg, cfg.eval)
     kw = _eval_kwargs(cfg, c_thre=args.eval_c_thre)
+    out.mkdir(parents=True, exist_ok=True)
     if points:
         return _run_sweep(*points, model, scenes, args.pipeline, out, kw)
     reports = [evaluate_scenes(model, scenes, flags, label=args.pipeline,

@@ -153,8 +153,12 @@ def deformable_attention(off_mlp: Mlp, queries: Tensor, fmaps: Tensor,
     wts = softmax(raw[:, 2 * n_da:], axis=-1)
     if rows is not None:
         off, wts = take_rows(off, rows), take_rows(wts, rows)
+    base = as_tensor(base)
     m = base.shape[0]
-    pts = (off + base.reshape(m, 1, 2)).reshape(m * n_da, 2)
+    # base + off as one flat add, not a broadcast over a 2-long axis
+    pts = np.repeat(base.data, n_da, axis=0) + off.data.reshape(m * n_da, 2)
+    pts = Tensor._make(pts, (off, base), lambda g: (
+        g.reshape(off.shape), g.reshape(m, n_da, 2).sum(axis=1)))
     return bilinear_sample(fmaps, pts,
                            None if view is None else np.repeat(view, n_da), wts)
 
@@ -269,11 +273,11 @@ def _view_height_mean(f: Tensor, s: Sightings) -> Tensor:
     """
     n_ref, hw = s.v_inv.shape
     # scipy sums each row's columns in order, from 0.0, times 1.0: exact
-    v_sum = (s.v_sum @ f.data).reshape(n_ref, hw, f.shape[1])
-    part = v_sum * s.v_inv[..., None]
+    part = (s.v_sum @ f.data).reshape(n_ref, hw, f.shape[1])
+    part *= s.v_inv[..., None]
     h_sum = part[0]
     for h in range(1, n_ref):
-        h_sum = h_sum + part[h]
+        h_sum += part[h]
     return Tensor._make(h_sum * s.h_inv[:, None], (f,),
                         lambda g: (g[s.cell] * s.coef[:, None],))
 

@@ -27,7 +27,9 @@ closed-form too: one sparse product for the map gradient, and one dot
 product per (point, corner) of map value and output gradient for the point
 and weight gradients. Their forwards multiply and add in the same order as
 the op-by-op versions, so they produce the same bits; their backwards may
-reassociate.
+reassociate. The ReLU is ``np.fmax`` plus 0.0, a select's bytes without its
+branch on each sign, which mispredicts on activations; a sum over a 4-long
+innermost axis, which pays numpy's per-row loop, adds columns in order.
 
 Inside ``no_grad()`` no graph is recorded: an op's output is a plain
 tensor with no parents and no VJP, so each intermediate is freed as soon as
@@ -457,15 +459,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
               - y * (gy * y).mean(axis=-1, keepdims=True)) / std
         return (gx, _unbroadcast(g * y, gamma.shape), _unbroadcast(g, beta.shape))
 
-    return Tensor._make(y * gamma.data + beta.data, (x, gamma, beta), vjp)
+    out = y * gamma.data
+    out += beta.data
+    return Tensor._make(out, (x, gamma, beta), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One fully connected layer ``x @ w + b``, then ReLU when ``relu`` is set.
 
-    One node: the forward runs ``(x @ w + b).relu()``'s numpy ops in the same
-    order, so it has the same bits (NaN maps to 0.0, no -0.0 survives), and
-    only the output and the ReLU mask stay alive for the VJP.
+    One node with the bits of the op-by-op layer, whose ReLU is the select
+    ``np.where(y > 0, y, 0.0)``: here ``np.fmax(y, 0.0)`` maps NaN to 0.0 and
+    ``+ 0.0`` maps -0.0 to +0.0, without a branch on each sign. Only the
+    output stays alive for the VJP: it is positive where the gradient passes.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2:
@@ -476,14 +481,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
     y = x.data @ w.data
     y += b.data
-    mask = None
     if relu:
-        mask = y > 0.0
-        y = np.where(mask, y, 0.0)
+        np.fmax(y, 0.0, out=y)   # NaN and negatives to 0.0; -0.0 may stay
+        y += 0.0                 # -0.0 + 0.0 is +0.0
 
     def vjp(g):
-        if mask is not None:
-            g = g * mask
+        if relu:
+            g = g * (y > 0.0)    # the output is positive where the input was
         gx = g @ w.data.T if x.requires_grad else None
         return (gx, x.data.T @ g, g.sum(axis=0))
 
@@ -521,9 +525,9 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     times the output gradient. The point and weight VJPs need only the dot
     product of each corner's map value with its row's output gradient,
     gathered SAMPLE_CHUNK_ROWS rows at a time: the corner weights turn these
-    into the weight gradient, their u and v differences into the point
-    gradient. At an integer u or v that is the derivative from above, the
-    side whose corners the sample reads.
+    into the weight gradient, summed in corner order from +0.0, their u and v
+    differences into the point gradient. At an integer u or v that is the
+    derivative from above, the side whose corners the sample reads.
     """
     fmap = as_tensor(fmap)
     if fmap.ndim not in (3, 4) or (fmap.ndim == 4) != (view is not None):
@@ -555,15 +559,16 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
     # the masks zero a corner off the lattice and leave a valid one's bits
     wu = ((1 - fu) * u_in[0], fu * u_in[1])
     wv = ((1 - fv) * v_in[0], fv * v_in[1])
-    ok = np.empty((n, 4), dtype=bool)
-    corner = np.empty((n, 4))
-    for j, (iu, iv) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-        np.logical_and(u_in[iu], v_in[iv], out=ok[:, j])
-        np.multiply(wu[iu], wv[iv], out=corner[:, j])
     # int32 indices, as scipy stores them; a corner off the lattice may wrap
     # here, but ``ok`` zeroes it
     base = ((view * h + v0) * w + u0).astype(np.int32)
-    cols = base[:, None] + np.array([0, 1, w, w + 1], dtype=np.int32)
+    ok = np.empty((n, 4), dtype=bool)
+    corner = np.empty((n, 4))
+    cols = np.empty((n, 4), dtype=np.int32)
+    for j, (iu, iv) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        np.logical_and(u_in[iu], v_in[iv], out=ok[:, j])
+        np.multiply(wu[iu], wv[iv], out=corner[:, j])
+        np.add(base, iv * w + iu, out=cols[:, j])
     cols *= ok
     cols = cols.ravel()
     a = csr_matrix((corner.ravel(), cols,
@@ -590,19 +595,20 @@ def bilinear_sample(fmap: Tensor, pts, view=None, weights=None) -> Tensor:
             d = np.empty(4 * n)
             for lo in range(0, m, SAMPLE_CHUNK_ROWS):
                 sel = slice(lo * 4 * k, (lo + SAMPLE_CHUNK_ROWS) * 4 * k)
-                vals = flat[cols[sel]].reshape(-1, 4 * k, c)
+                vals = np.take(flat, cols[sel], axis=0).reshape(-1, 4 * k, c)
                 d[sel] = (vals @ g[lo:lo + SAMPLE_CHUNK_ROWS, :, None]).ravel()
             d = d.reshape(n, 4) * ok
             if pts.requires_grad:
                 # d(out[m]) / d(pt[m*K + k]) = weights[m, k] * d(sample) / d(pt)
                 wp = wts.data.reshape(n)
-                gu = wp * ((1 - fv) * (d[:, 1] - d[:, 0])
-                           + fv * (d[:, 3] - d[:, 2]))
-                gv = wp * ((1 - fu) * (d[:, 2] - d[:, 0])
-                           + fu * (d[:, 3] - d[:, 1]))
-                gp = np.stack([gu, gv], axis=1)
+                gp = np.empty((n, 2))
+                np.multiply(wp, (1 - fv) * (d[:, 1] - d[:, 0])
+                            + fv * (d[:, 3] - d[:, 2]), out=gp[:, 0])
+                np.multiply(wp, (1 - fu) * (d[:, 2] - d[:, 0])
+                            + fu * (d[:, 3] - d[:, 1]), out=gp[:, 1])
             if wts.requires_grad:
-                gw = (corner * d).sum(axis=1).reshape(m, k)
+                d *= corner
+                gw = (0.0 + d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]).reshape(m, k)
         return (gmap, gp, gw)
 
     return Tensor._make(out, (fmap, pts, wts), vjp)

@@ -10,14 +10,18 @@ sampling and averaging formulas for a single point.
 ``composite_linear`` build weighted sampling, layer norm and one MLP layer
 from generic ops, node by node; the library's single-node versions must
 match their forwards bit for bit (``linear`` its backward too).
+``reference_sample_grads`` keeps ``bilinear_sample``'s backward in its
+first form, a fancy-index gather, a row sum over the four corners and a
+stack; the library's faster backward must give the same bytes.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from viewfuse.geometry import project_points
-from viewfuse.tensor import (Tensor, as_tensor, bilinear_sample, layer_norm,
-                             softmax)
+from viewfuse.tensor import (SAMPLE_CHUNK_ROWS, Tensor, as_tensor,
+                             bilinear_sample, layer_norm, softmax)
 
 
 def offsets_and_weights(block, queries: Tensor):
@@ -97,6 +101,59 @@ def reference_bilinear_sample(fmap: Tensor, pts: Tensor, view=None) -> Tensor:
         return gmap.reshape(fmap.shape), gp
 
     return Tensor._make(out, (fmap, pts), vjp)
+
+
+def reference_sample_grads(fmap, pts, view, weights, g):
+    """(map, point, weight) gradients of ``bilinear_sample`` for the output
+    gradient ``g``, by the per-corner dot products of its first backward.
+
+    Arguments are arrays as ``bilinear_sample`` takes them; ``weights`` None
+    means one unit-weight point per row, and then no weight gradient.
+    """
+    p = np.asarray(pts, dtype=np.float64)
+    n = p.shape[0]
+    wts = np.ones((n, 1)) if weights is None else np.asarray(weights)
+    m, k = wts.shape
+    n_v, c, h, w = fmap.shape if view is not None else (1,) + fmap.shape
+    view = np.zeros(n, np.intp) if view is None else np.asarray(view)
+    flat = fmap.reshape(n_v, c, h * w).transpose(0, 2, 1).reshape(-1, c)
+    u0 = np.floor(p[:, 0]).astype(np.intp)
+    v0 = np.floor(p[:, 1]).astype(np.intp)
+    fu = p[:, 0] - u0
+    fv = p[:, 1] - v0
+    u_in = ((u0 >= 0) & (u0 < w), (u0 >= -1) & (u0 < w - 1))
+    v_in = ((v0 >= 0) & (v0 < h), (v0 >= -1) & (v0 < h - 1))
+    wu = ((1 - fu) * u_in[0], fu * u_in[1])
+    wv = ((1 - fv) * v_in[0], fv * v_in[1])
+    ok = np.empty((n, 4), dtype=bool)
+    corner = np.empty((n, 4))
+    for j, (iu, iv) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        np.logical_and(u_in[iu], v_in[iv], out=ok[:, j])
+        np.multiply(wu[iu], wv[iv], out=corner[:, j])
+    base = ((view * h + v0) * w + u0).astype(np.int32)
+    cols = base[:, None] + np.array([0, 1, w, w + 1], dtype=np.int32)
+    cols *= ok
+    cols = cols.ravel()
+
+    bw = csr_matrix(((corner * wts.reshape(n, 1)).ravel(), cols,
+                     np.arange(0, 4 * n + 1, 4 * k, dtype=np.int32)),
+                    shape=(m, flat.shape[0]))
+    gmap = (bw.T @ g).reshape(n_v, h * w, c).transpose(0, 2, 1)
+    gmap = gmap.reshape(fmap.shape)
+    d = np.empty(4 * n)
+    for lo in range(0, m, SAMPLE_CHUNK_ROWS):
+        sel = slice(lo * 4 * k, (lo + SAMPLE_CHUNK_ROWS) * 4 * k)
+        vals = flat[cols[sel]].reshape(-1, 4 * k, c)
+        d[sel] = (vals @ g[lo:lo + SAMPLE_CHUNK_ROWS, :, None]).ravel()
+    d = d.reshape(n, 4) * ok
+    wp = wts.reshape(n)
+    gu = wp * ((1 - fv) * (d[:, 1] - d[:, 0])
+               + fv * (d[:, 3] - d[:, 2]))
+    gv = wp * ((1 - fu) * (d[:, 2] - d[:, 0])
+               + fu * (d[:, 3] - d[:, 1]))
+    gp = np.stack([gu, gv], axis=1)
+    gw = None if weights is None else (corner * d).sum(axis=1).reshape(m, k)
+    return gmap, gp, gw
 
 
 def _scatter_rows(x: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:

@@ -298,6 +298,15 @@ def test_eval_exit_codes(trained, tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "nope.npz")]) == 2
 
 
+def test_eval_without_a_checkpoint_creates_no_out_dir(trained, tmp_path,
+                                                     capsys):
+    cp, _ = trained
+    new = tmp_path / "new"
+    assert main(["eval", "--config", str(cp), "--out", str(new)]) == 2
+    assert str(new / "checkpoint.npz") in capsys.readouterr().err
+    assert not new.exists()
+
+
 def test_unreadable_checkpoint_exits_2_naming_the_path(trained, tmp_path,
                                                        capsys):
     cp, run = trained

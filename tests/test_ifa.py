@@ -7,7 +7,8 @@ import pytest
 from gradcheck import check_scalar_fn
 from ifa_reference import (aggregate_reference_point, composite_layer_norm,
                            composite_weighted_sample, deformable_sample,
-                           reference_bilinear_sample, reference_block_forward)
+                           reference_bilinear_sample, reference_block_forward,
+                           reference_sample_grads)
 from viewfuse.geometry import (CameraModel, Pose, apply_pose_noise,
                                project_points, relative_pose)
 import viewfuse.ifa
@@ -215,6 +216,29 @@ def test_weighted_sample_matches_composite(n_view, c, fh, fw, m, k):
     for a, b in zip(_grads_after(fused, g, leaves),
                     _grads_after(ref, g, leaves)):
         _assert_close_rel(a, b)
+
+
+@pytest.mark.parametrize("n_view, c, fh, fw, m, k, weighted", [
+    (8, 32, 20, 32, 1000, 4, True),   # IFA: a view stack, view 5 unobserved
+    (None, 32, 32, 32, 64, 4, True),  # decoder: the BEV map
+    (8, 32, 20, 32, 1000, 1, False),  # weights=None: a row per point
+])
+def test_sample_grads_keep_the_reference_bytes(n_view, c, fh, fw, m, k,
+                                               weighted):
+    rng = np.random.default_rng(m + k)
+    maps, pts, view, wts = _sampling_inputs(rng, n_view, c, fh, fw, m, k)
+    if view is not None:
+        view[view == 5] = 4
+    wts = Tensor(wts.data, requires_grad=True) if weighted else None
+    out = bilinear_sample(maps, pts, view, wts)
+    g = rng.normal(size=out.shape)
+    leaves = [maps, pts] + ([wts] if weighted else [])
+    got = _grads_after(out, g, leaves)
+    want = reference_sample_grads(maps.data, pts.data, view,
+                                  wts.data if weighted else None, g)
+    assert (want[2] is not None) == weighted
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("rows, c", [(1024, 32), (64, 32)])

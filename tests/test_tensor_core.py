@@ -368,6 +368,19 @@ def _special_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str):
     return j
 
 
+def test_relu_matches_the_select_on_edge_values():
+    # x @ [[1.0]] + (-0.0) is x, but for -0.0: the matmul's sum starts from
+    # +0.0, so no -0.0 reaches a layer's ReLU
+    v = np.array([np.inf, -np.inf, 5e-324, -5e-324, 0.0, -0.0, np.nan,
+                  1.0, -1.0])
+    x, w, b = Tensor(v[:, None]), Tensor(np.ones((1, 1))), Tensor([-0.0])
+    y = x.data @ w.data + b.data
+    assert y.tobytes() == (v[:, None] + 0.0).tobytes()
+    got = T.linear(x, w, b, relu=True).data
+    assert got.tobytes() == np.where(y > 0, y, 0.0).tobytes()
+    assert not np.signbit(got).any() and not np.isnan(got).any()
+
+
 @pytest.mark.parametrize("rows, widths", [
     (640, [32, 32, 32]),     # view-cell encoder
     (1024, [32, 64, 32]),    # IFA FFN over the BEV grid
