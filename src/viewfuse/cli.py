@@ -36,8 +36,8 @@ import numpy as np
 from . import comms
 from .config import (ConfigError, ExperimentConfig, config_to_dict,
                      fingerprint, load_config, save_config)
-from .eval import (EvalReport, LADDER, PIPELINES, ablation_ladder,
-                   evaluate_scenes, sweep)
+from .eval import (IOU_THRESHOLDS, EvalReport, LADDER, PIPELINES,
+                   ablation_ladder, evaluate_scenes, sweep)
 from .model import (FLAGS_FULL, CheckpointError, FingerprintError,
                     PipelineFlags, PipelineModel, TrainingError, init_model,
                     load_checkpoint, train)
@@ -150,23 +150,24 @@ def _safe_name(label: str) -> str:
 
 
 def format_table(reports: list[EvalReport]) -> str:
-    hdr = (f"{'label':<32}{'AP@0.30':>9}{'AP@0.50':>9}{'AP@0.70':>9}"
-           f"{'comm_log2':>11}{'bytes':>12}")
+    hdr = (f"{'label':<32}"
+           + "".join(f"{f'AP@{t:.2f}':>9}" for t in IOU_THRESHOLDS)
+           + f"{'comm_log2':>11}{'bytes':>12}")
     lines = [hdr]
     for r in reports:
         comm = f"{r.comm_log2:11.2f}" if r.comm_log2 is not None else f"{'-':>11}"
-        lines.append(f"{r.label:<32}"
-                     f"{r.ap[0.30]:9.4f}{r.ap[0.50]:9.4f}{r.ap[0.70]:9.4f}"
-                     f"{comm}{r.total_bytes:>12d}")
+        aps = "".join(f"{r.ap[t]:9.4f}" for t in IOU_THRESHOLDS)
+        lines.append(f"{r.label:<32}{aps}{comm}{r.total_bytes:>12d}")
     return "\n".join(lines)
 
 
 def _report_csv_rows(reports: list[EvalReport]) -> list[list]:
-    rows = [["label", "ap30", "ap50", "ap70", "comm_log2", "total_bytes"]]
+    rows = [["label", *(f"ap{round(t * 100)}" for t in IOU_THRESHOLDS),
+             "comm_log2", "total_bytes"]]
     for r in reports:
         comm = "" if r.comm_log2 is None else f"{r.comm_log2:.6f}"
-        rows.append([r.label, f"{r.ap[0.30]:.6f}", f"{r.ap[0.50]:.6f}",
-                     f"{r.ap[0.70]:.6f}", comm, r.total_bytes])
+        rows.append([r.label, *(f"{r.ap[t]:.6f}" for t in IOU_THRESHOLDS),
+                     comm, r.total_bytes])
     return rows
 
 

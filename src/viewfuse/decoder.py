@@ -20,6 +20,7 @@ from .ifa import BevGridSpec, _ring_bias, deformable_attention
 from .scene import GtBox
 from .tensor import (
     Mlp,
+    Module,
     Tensor,
     as_tensor,
     concat,
@@ -228,7 +229,7 @@ def set_loss(pred: Predictions, gts: list[GtBox], codec: BoxCodec,
                       gamma=FOCAL_GAMMA)
 
 
-class DecoderLayer:
+class DecoderLayer(Module):
     """Self-attention, deformable BEV cross-attention, FFN; all residual."""
 
     def __init__(self, c: int, n_da: int, rng: np.random.Generator,
@@ -254,27 +255,12 @@ class DecoderLayer:
         self.ref_delta = Mlp([c, 2], rng, name=f"{name}.refd",
                              final_zero=True)
 
-    def params(self) -> dict[str, Tensor]:
-        out = {f"{self.name}.wq": self.wq, f"{self.name}.wk": self.wk,
-               f"{self.name}.wv": self.wv, f"{self.name}.wo": self.wo,
-               f"{self.name}.bo": self.bo,
-               f"{self.name}.lna_g": self.lna_g,
-               f"{self.name}.lna_b": self.lna_b,
-               f"{self.name}.lnc_g": self.lnc_g,
-               f"{self.name}.lnc_b": self.lnc_b,
-               f"{self.name}.lnf_g": self.lnf_g,
-               f"{self.name}.lnf_b": self.lnf_b}
-        out.update(self.off_mlp.params())
-        out.update(self.ffn.params())
-        out.update(self.ref_delta.params())
-        return out
-
 
 # neutral box prior: centered, car-sized, axis aligned
 _BOX_BIAS = np.array([0.0, 0.0, 0.4, 0.64, 1.46, 0.47, 0.0, 1.0])
 
 
-class DetrDecoder:
+class DetrDecoder(Module):
     def __init__(self, c: int, rng: np.random.Generator, n_layers: int = 3,
                  n_da: int = 4, name: str = "dec"):
         if n_layers < 1:
@@ -289,15 +275,6 @@ class DetrDecoder:
                             final_bias=np.array([-2.0]))
         self.box_head = Mlp([c, c, 8], rng, name=f"{name}.box",
                             final_zero=True, final_bias=_BOX_BIAS)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        out.update(self.ref_init.params())
-        out.update(self.cls_head.params())
-        out.update(self.box_head.params())
-        return out
 
     def forward(self, fbev: Tensor, queries: Tensor, spec: BevGridSpec,
                 anchors: np.ndarray) -> Predictions:

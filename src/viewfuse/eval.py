@@ -351,10 +351,9 @@ def run_late_fusion(model, scenes, **kw) -> EvalReport:
     return evaluate_scenes(model, scenes, FLAGS_LATE, **kw)
 
 
-def run_fusion(model, scenes, flags: PipelineFlags = FLAGS_FULL,
-               **kw) -> EvalReport:
+def run_fusion(model, scenes, **kw) -> EvalReport:
     kw.setdefault("label", "fused")
-    return evaluate_scenes(model, scenes, flags, **kw)
+    return evaluate_scenes(model, scenes, FLAGS_FULL, **kw)
 
 
 # ---- named pipelines and the ablation ladder ----

@@ -19,6 +19,7 @@ from scipy.sparse import csr_matrix
 from .geometry import CameraModel, Pose, project_points
 from .tensor import (
     Mlp,
+    Module,
     Rows,
     Tensor,
     as_tensor,
@@ -104,7 +105,7 @@ def _ring_bias(n_da: int) -> np.ndarray:
     return bias
 
 
-class IfaBlock:
+class IfaBlock(Module):
     """One aggregation block: norm, deformable sampling, norm, FFN.
 
     Residual throughout; the offset head and FFN final layers start at zero
@@ -125,16 +126,6 @@ class IfaBlock:
         self.ln1_b = Tensor(np.zeros(c), requires_grad=True)
         self.ln2_g = Tensor(np.ones(c), requires_grad=True)
         self.ln2_b = Tensor(np.zeros(c), requires_grad=True)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.off_mlp.params())
-        out.update(self.ffn.params())
-        out[f"{self.name}.ln1_g"] = self.ln1_g
-        out[f"{self.name}.ln1_b"] = self.ln1_b
-        out[f"{self.name}.ln2_g"] = self.ln2_g
-        out[f"{self.name}.ln2_b"] = self.ln2_b
-        return out
 
 
 def deformable_attention(off_mlp: Mlp, queries: Tensor, fmaps: Tensor,

@@ -37,7 +37,7 @@ from .geometry import (Pose, apply_pose, apply_pose_noise, camera_in_frame,
 from .ifa import BevGridSpec, BevView, IfaBlock, ifa_cascade
 from .scene import (GtBox, Scene, agent_visibility, detect_instances_2d,
                     render_view_features)
-from .tensor import Adam, Mlp, Tensor
+from .tensor import Adam, Mlp, Module, Tensor
 
 
 class TrainingError(RuntimeError):
@@ -120,7 +120,7 @@ FLAGS_SOLO = PipelineFlags(ifa=False, cdqa=False, mask=True)
 FLAGS_LATE = PipelineFlags(ifa=False, cdqa=False, mask=True, late_fuse=True)
 
 
-class PipelineModel:
+class PipelineModel(Module):
     """All learnable state plus the fixed grid geometry."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -149,19 +149,6 @@ class PipelineModel:
                                     axis=1)[:cfg.n_q]
         self.dec = DetrDecoder(cfg.c, n_layers=cfg.n_dec_layers,
                                n_da=cfg.dec_n_da, rng=rng, name="dec")
-
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for part in (self.enc.params(), self.gap.params(),
-                     self.cone.params(), self.dec.params(),
-                     *[b.params() for b in self.blocks]):
-            for k, v in part.items():
-                if k in out:
-                    raise RuntimeError(f"duplicate parameter name {k}")
-                out[k] = v
-        out["q0"] = self.q0
-        out["qtable"] = self.qtable
-        return out
 
 
 @dataclass
@@ -384,7 +371,7 @@ def _check_finite(value: float, model: PipelineModel, n: int) -> None:
     if np.isfinite(value):
         return
     stats = {k: float(np.abs(t.data).max())
-             for k, t in sorted(model.params().items())}
+             for k, t in model.params().items()}
     worst = sorted(stats, key=stats.get, reverse=True)[:5]
     raise TrainingError(
         "non-finite loss "
@@ -454,7 +441,12 @@ def load_checkpoint(path, model: PipelineModel, opt: Adam | None = None,
     with z:
         if "meta" not in z:
             raise CheckpointError(f"{path} has no metadata record")
-        meta = json.loads(bytes(read("meta").tobytes()).decode("utf-8"))
+        try:
+            meta = json.loads(read("meta").tobytes().decode("utf-8"))
+        except ValueError as e:     # not UTF-8, or not JSON
+            raise CheckpointError(f"{path}: cannot parse meta: {e}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: meta is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {meta.get('version')} unsupported "

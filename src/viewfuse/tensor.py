@@ -285,14 +285,8 @@ class Tensor:
         a = self
         return Tensor._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
-    def transpose(self, axes=None):
-        a = self
-        out_data = np.transpose(a.data, axes)
-        if axes is None:
-            inv = None
-        else:
-            inv = tuple(np.argsort(axes))
-        return Tensor._make(out_data, (a,), lambda g: (np.transpose(g, inv),))
+    def transpose(self):
+        return Tensor._make(self.data.T, (self,), lambda g: (g.T,))
 
     def __getitem__(self, key):
         a = self
@@ -661,6 +655,32 @@ def l1_loss(pred: Tensor, target) -> Tensor:
 
 
 # ---- parameterized blocks ----
+
+
+class Module:
+    """A block whose parameters are the tensors it holds.
+
+    ``params()`` names each ``Tensor`` attribute ``{name}.{attribute}``
+    (``attribute`` when ``name`` is empty) and adds the ``params()`` of every
+    attribute, or list item, that has one; sorted by name, each name once.
+    """
+
+    name = ""
+
+    def params(self) -> dict[str, Tensor]:
+        found = []
+        for attr, v in vars(self).items():
+            if isinstance(v, Tensor):
+                found.append((f"{self.name}.{attr}" if self.name else attr, v))
+            for part in v if isinstance(v, list) else (v,):
+                if hasattr(part, "params"):
+                    found.extend(part.params().items())
+        out = {}
+        for k, t in sorted(found, key=lambda kv: kv[0]):
+            if k in out:
+                raise RuntimeError(f"duplicate parameter name {k}")
+            out[k] = t
+        return out
 
 
 class Mlp:

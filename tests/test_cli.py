@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import io
 import json
 import os
 import platform
@@ -319,6 +320,11 @@ def test_unreadable_checkpoint_exits_2_naming_the_path(trained, tmp_path,
     cases = {"empty.npz": b"", "truncated.npz": good[:len(good) // 2],
              "flipped.npz": bytes(flipped), "text.npz": b"step,loss\n0,1.5\n",
              "array.npz": member}
+    for name, meta in (("meta_bytes.npz", b"\xff\xfe"),
+                       ("meta_list.npz", b"[1, 2]")):
+        buf = io.BytesIO()
+        np.savez(buf, meta=np.frombuffer(meta, dtype=np.uint8))
+        cases[name] = buf.getvalue()
     for name, blob in cases.items():
         p = tmp_path / name
         p.write_bytes(blob)

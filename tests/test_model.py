@@ -1,4 +1,5 @@
 """Pipeline assembly: forward paths, training step, checkpoints."""
+import hashlib
 import tracemalloc
 import zipfile
 
@@ -21,6 +22,7 @@ from viewfuse.model import (
     train_step,
 )
 from viewfuse.comms import INSTANCE_HEADER_BYTES
+from viewfuse.config import ExperimentConfig
 from viewfuse.decoder import set_loss
 from viewfuse.eval import evaluate_scene
 from viewfuse.geometry import apply_pose, invert
@@ -185,6 +187,34 @@ def test_train_step_deterministic_and_finite():
     assert l1 == l2
     assert g1 and g2
     assert l1[1] != l1[0]
+
+
+def test_training_loss_reaches_exactly_the_parameters():
+    # default config: the parameter names a default checkpoint holds
+    cfg = ExperimentConfig()
+    scene = generate_scene(cfg.scene, 1034)
+    model = PipelineModel(cfg.model, np.random.default_rng(0))
+    fr = model_forward(model, scene, FLAGS_FULL, wire=False)
+    assert fr.queries.n_instance > 0
+    loss = set_loss(fr.preds, ego_frame_targets(scene, model.spec,
+                                                model.cfg.vis_min),
+                    model.codec, model.weights)
+    leaves, seen, stack = set(), set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t.requires_grad and not t._parents:
+            leaves.add(id(t))
+        stack.extend(t._parents)
+    params = model.params()
+    assert leaves == {id(t) for t in params.values()}
+    # a renamed or dropped parameter fails here before old checkpoints break
+    names = "\n".join(sorted(params)).encode()
+    assert len(params) == 111
+    assert hashlib.sha256(names).hexdigest() == (
+        "d4fb031b83435789b91db0ea910be31046a6fec37806c3440ecab6e78b9b721b")
 
 
 def test_training_reduces_loss():

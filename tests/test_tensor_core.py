@@ -312,6 +312,31 @@ def test_mlp_shapes_and_params():
         Mlp([4], rng)
 
 
+def test_module_params_are_the_tensors_it_holds():
+    rng = np.random.default_rng(3)
+
+    class Block(T.Module):
+        def __init__(self, name, mlp_name):
+            self.name = name
+            self.g = Tensor(np.ones(2), requires_grad=True)
+            self.mlp = Mlp([2, 2], rng, name=mlp_name)
+            self.scale = 2.0
+
+    class Top(T.Module):
+        def __init__(self, names):
+            self.blocks = [Block(n, f"{n}_mlp") for n in names]
+            self.q = Tensor(np.zeros(3), requires_grad=True)
+
+    top = Top(["b1", "b0"])
+    params = top.params()
+    assert list(params) == ["b0.g", "b0_mlp.b0", "b0_mlp.w0", "b1.g",
+                            "b1_mlp.b0", "b1_mlp.w0", "q"]
+    assert params["b1.g"] is top.blocks[0].g and params["q"] is top.q
+    top.blocks.append(Block("b2", "b0_mlp"))
+    with pytest.raises(RuntimeError, match="duplicate parameter name b0_mlp.b0"):
+        top.params()
+
+
 def test_mlp_final_zero_outputs_zero():
     rng = np.random.default_rng(2)
     mlp = Mlp([4, 6, 3], rng, final_zero=True)
